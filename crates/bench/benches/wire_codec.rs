@@ -32,11 +32,11 @@ fn sync_packet(entries: usize) -> Packet {
         NodeId(0),
         NodeId(1),
         SwishMsg::Sync(SyncUpdate {
-            reg: 3,
             origin: NodeId(0),
             trace: TraceId::new(NodeId(0), 1),
             entries: (0..entries as u32)
                 .map(|k| SyncEntry {
+                    reg: 3,
                     key: k,
                     slot: 0,
                     version: 100 + u64::from(k),

@@ -5,17 +5,29 @@
 //! with gates generous enough for noisy shared runners (the
 //! `trace_overhead.rs` convention).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use swishmem_bench::experiments::e24_replay_lab;
 use swishmem_bench::shardnet::{
     run_leaf_spine_injected, trace_to_leaf_spine, LeafSpineSpec, ShardRunConfig,
 };
 use swishmem_replay::{from_swtrace_bytes, synth_trace_bytes, SynthConfig};
 
+/// The ring-parity test times itself, so no other test in this binary
+/// may share the CPU with it: each holds this guard while it runs.
+static TIMED: Mutex<()> = Mutex::new(());
+
+fn timed_guard() -> MutexGuard<'static, ()> {
+    // The mutex guards no data, so a panic in another test leaves
+    // nothing to repair.
+    TIMED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The core replay-lab contract at smoke scale: the same trace through
 /// the leaf-spine fabric yields one digest sequentially (twice) and at
 /// 2 shards. No timing involved, so this gate is exact.
 #[test]
 fn replay_digest_is_shard_invariant() {
+    let _timed = timed_guard();
     let spec = LeafSpineSpec {
         leaves: 8,
         spines: 2,
@@ -47,6 +59,7 @@ fn replay_digest_is_shard_invariant() {
 /// scheduler noise on shared runners.
 #[test]
 fn ring_ingest_keeps_pace_with_generator_driven() {
+    let _timed = timed_guard();
     let (direct, ring) = e24_replay_lab::measure_ring_parity(6_000, 3);
     let ratio = ring / direct.max(1.0);
     assert!(

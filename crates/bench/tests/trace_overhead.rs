@@ -4,10 +4,22 @@
 //! tolerate noisy shared runners; the experiments themselves report
 //! against the real <2% targets.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use swishmem_bench::experiments::{e18_trace_overhead, e23_ctrl_recorder};
+
+/// The tests here time themselves, so they must not share the CPU with
+/// each other: each holds this guard while it runs.
+static TIMED: Mutex<()> = Mutex::new(());
+
+fn timed_guard() -> MutexGuard<'static, ()> {
+    // The mutex guards no data, so a panic in another test leaves
+    // nothing to repair.
+    TIMED.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn detached_tracing_overhead_is_small() {
+    let _timed = timed_guard();
     const EVENTS: u64 = 20_000;
     // Interleaved best-of-5 each — min wall-clock of a deterministic
     // workload is robust to scheduler noise.
@@ -24,6 +36,7 @@ fn detached_tracing_overhead_is_small() {
 
 #[test]
 fn detached_journal_overhead_is_small() {
+    let _timed = timed_guard();
     const EVENTS: u64 = 20_000;
     let (plain, journaled) = e23_ctrl_recorder::measure_pair(EVENTS, 5);
     let ratio = plain / journaled;

@@ -34,7 +34,7 @@ pub struct SwishProgram {
     /// Pending-sweep walk position: (register index, next group slot).
     sweep_cursor: (usize, u32),
     /// Eager-mirror entries awaiting a batch flush.
-    mirror_buf: Vec<(RegId, SyncEntry)>,
+    mirror_buf: Vec<SyncEntry>,
     /// Per-switch causal-trace counter: each logical operation entering
     /// the NF at this switch gets `TraceId::new(me, counter)`. Pure
     /// bookkeeping — advancing it draws no randomness and schedules no
@@ -215,11 +215,7 @@ impl SwishProgram {
 
     /// Apply EWO writes to this switch's own slots; returns the sync
     /// entries describing the new state for eager mirroring.
-    fn apply_ewo(
-        &mut self,
-        writes: &[StagedWrite],
-        dp: &mut DpView<'_>,
-    ) -> Vec<(RegId, SyncEntry)> {
+    fn apply_ewo(&mut self, writes: &[StagedWrite], dp: &mut DpView<'_>) -> Vec<SyncEntry> {
         let mut out = Vec::with_capacity(writes.len());
         for w in writes {
             let entry = self.handles.entry(w.reg);
@@ -235,15 +231,13 @@ impl SwishProgram {
                     let (v, c) = dp.pair_read(h, key);
                     let (nv, nc) = (v + 1, c + delta as u64);
                     dp.pair_write(h, key, nv, nc);
-                    out.push((
-                        w.reg,
-                        SyncEntry {
-                            key: w.key,
-                            slot: self.me_slot as u8,
-                            version: nv,
-                            value: nc,
-                        },
-                    ));
+                    out.push(SyncEntry {
+                        reg: w.reg,
+                        key: w.key,
+                        slot: self.me_slot as u8,
+                        version: nv,
+                        value: nc,
+                    });
                 }
                 MergePolicy::Windowed { window } => {
                     let WriteOp::Add(delta) = w.op else { continue };
@@ -257,15 +251,13 @@ impl SwishProgram {
                         (e, c + delta as u64)
                     };
                     dp.pair_write(h, key, ne, nc);
-                    out.push((
-                        w.reg,
-                        SyncEntry {
-                            key: w.key,
-                            slot: self.me_slot as u8,
-                            version: ne,
-                            value: nc,
-                        },
-                    ));
+                    out.push(SyncEntry {
+                        reg: w.reg,
+                        key: w.key,
+                        slot: self.me_slot as u8,
+                        version: ne,
+                        value: nc,
+                    });
                 }
                 MergePolicy::Lww => {
                     let value = match w.op {
@@ -274,15 +266,13 @@ impl SwishProgram {
                     };
                     let version = self.clock.next_version(dp.now());
                     dp.pair_write(slots[0], key, version, value);
-                    out.push((
-                        w.reg,
-                        SyncEntry {
-                            key: w.key,
-                            slot: 0,
-                            version,
-                            value,
-                        },
-                    ));
+                    out.push(SyncEntry {
+                        reg: w.reg,
+                        key: w.key,
+                        slot: 0,
+                        version,
+                        value,
+                    });
                 }
             }
             self.metrics.ewo_writes += 1;
@@ -292,12 +282,7 @@ impl SwishProgram {
 
     /// Queue eager-mirror entries, flushing when the batch threshold is
     /// reached (§7: batching trades bandwidth for staleness).
-    fn queue_mirror(
-        &mut self,
-        entries: Vec<(RegId, SyncEntry)>,
-        trace: TraceId,
-        eff: &mut Effects,
-    ) {
+    fn queue_mirror(&mut self, entries: Vec<SyncEntry>, trace: TraceId, eff: &mut Effects) {
         if !self.cfg.eager_updates || entries.is_empty() {
             return;
         }
@@ -313,26 +298,20 @@ impl SwishProgram {
         if self.mirror_buf.is_empty() {
             return;
         }
-        // Group entries by register, one SyncUpdate per register.
-        let mut by_reg: Vec<(RegId, Vec<SyncEntry>)> = Vec::new();
-        for (reg, e) in self.mirror_buf.drain(..) {
-            match by_reg.iter_mut().find(|(r, _)| *r == reg) {
-                Some((_, v)) => v.push(e),
-                None => by_reg.push((reg, vec![e])),
-            }
-        }
-        for (reg, entries) in by_reg {
-            self.metrics.mirror_packets += 1;
-            eff.multicast(
-                REPLICA_GROUP,
-                PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
-                    reg,
-                    origin: self.me,
-                    trace,
-                    entries: entries.into(),
-                })),
-            );
-        }
+        // A pass mirrors its packet once (§6.2), so one SyncUpdate carries
+        // every register the batch wrote. Sorting makes each register one
+        // run on the wire; being stable, it keeps repeated writes to one
+        // key in the order they happened.
+        self.mirror_buf.sort_by_key(|e| e.reg);
+        self.metrics.mirror_packets += 1;
+        eff.multicast(
+            REPLICA_GROUP,
+            PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
+                origin: self.me,
+                trace,
+                entries: std::mem::take(&mut self.mirror_buf).into(),
+            })),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -537,13 +516,16 @@ impl SwishProgram {
     // ------------------------------------------------------------------
 
     fn on_sync(&mut self, u: &SyncUpdate, dp: &mut DpView<'_>, eff: &mut Effects) {
-        let entry = self.handles.entry(u.reg);
-        let RegKind::Ewo { slots } = &entry.kind else {
-            return;
-        };
         eff.span(u.trace, SpanPhase::SyncMerge);
-        let slots = slots.clone();
         for e in &u.entries {
+            // `reg` comes off the wire: skip an entry naming no EWO
+            // register, and still merge the rest.
+            let Some(entry) = self.handles.regs.get(usize::from(e.reg)) else {
+                continue;
+            };
+            let RegKind::Ewo { slots } = &entry.kind else {
+                continue;
+            };
             let changed = match entry.spec.policy {
                 MergePolicy::GCounter => {
                     let h = slots[e.slot as usize % slots.len()];
@@ -593,7 +575,7 @@ impl SwishProgram {
             key = 0;
         }
         let mut budget = self.cfg.sync_chunk.max(1);
-        let mut per_reg: Vec<(RegId, Vec<SyncEntry>)> = Vec::new();
+        let mut entries = Vec::new();
         let mut visited_keys = 0usize;
         let total_keys: usize = ewo_regs
             .iter()
@@ -621,38 +603,32 @@ impl SwishProgram {
                 if v == 0 && x == 0 {
                     continue; // nothing to say about this slot
                 }
-                let reg_id = entry.spec.id;
-                let e = SyncEntry {
+                entries.push(SyncEntry {
+                    reg: entry.spec.id,
                     key,
                     slot: si as u8,
                     version: v,
                     value: x,
-                };
-                match per_reg.iter_mut().find(|(r, _)| *r == reg_id) {
-                    Some((_, list)) => list.push(e),
-                    None => per_reg.push((reg_id, vec![e])),
-                }
+                });
                 budget = budget.saturating_sub(1);
             }
             key += 1;
             visited_keys += 1;
         }
         self.sync_cursor = (reg_i, key);
-        for (reg, entries) in per_reg {
-            if entries.is_empty() {
-                continue;
-            }
-            self.metrics.sync_packets += 1;
-            eff.anycast_random(
-                REPLICA_GROUP,
-                PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
-                    reg,
-                    origin: self.me,
-                    trace,
-                    entries: entries.into(),
-                })),
-            );
+        if entries.is_empty() {
+            return;
         }
+        // One packet per tick, whatever registers the walk crossed.
+        self.metrics.sync_packets += 1;
+        eff.anycast_random(
+            REPLICA_GROUP,
+            PacketBody::Swish(SwishMsg::Sync(SyncUpdate {
+                origin: self.me,
+                trace,
+                entries: entries.into(),
+            })),
+        );
     }
 
     // ------------------------------------------------------------------

@@ -160,9 +160,11 @@ pub struct DpMetrics {
     pub merge_entries: u64,
     /// EWO entries that actually changed state on merge.
     pub merge_applied: u64,
-    /// Periodic sync packets emitted.
+    /// Periodic sync packets emitted: one per sync tick that found live
+    /// state, whatever registers its walk crossed.
     pub sync_packets: u64,
-    /// Eager mirror packets emitted.
+    /// Eager mirror packets emitted: one per batch flush, carrying every
+    /// register the batch wrote (one per pipeline pass at batch size 1).
     pub mirror_packets: u64,
     /// Snapshot entries applied during catch-up.
     pub snapshot_applied: u64,

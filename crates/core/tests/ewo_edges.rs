@@ -12,7 +12,7 @@ use swishmem::layer::{write_chain_for_tests, ChainView, Handles, SYNC_PKTGEN_TOK
 use swishmem::{ClockMode, RegisterSpec, SwishConfig, SwitchClock};
 use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, Effect, Effects};
 use swishmem_simnet::SimTime;
-use swishmem_wire::swish::{SyncEntry, SyncUpdate, TraceId};
+use swishmem_wire::swish::{RegId, SyncEntry, SyncUpdate, TraceId};
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, SwishMsg};
 
 /// Adds 1 to counter register 0 at key = dst_port.
@@ -27,16 +27,38 @@ impl NfApp for IncNf {
     }
 }
 
+/// Adds 1 to counter register 0 and sets LWW register 1 at key =
+/// dst_port: two EWO registers written in one pass.
+struct TwoRegNf;
+impl NfApp for TwoRegNf {
+    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
+        let key = u32::from(pkt.flow.dst_port);
+        st.add(0, key, 1);
+        st.write(1, key, 7);
+        NfDecision::Forward {
+            dst: NodeId(1000),
+            pkt: *pkt,
+        }
+    }
+}
+
 struct Rig {
     dp: DataPlane,
     prog: SwishProgram,
 }
 
 fn rig(me: u16, cfg: SwishConfig, counter_nf: bool) -> Rig {
+    let app: Box<dyn NfApp> = if counter_nf {
+        Box::new(IncNf)
+    } else {
+        Box::new(ForwardAll { dst: NodeId(1000) })
+    };
+    rig_with(me, cfg, &[RegisterSpec::ewo_counter(0, "c", 64)], app)
+}
+
+fn rig_with(me: u16, cfg: SwishConfig, specs: &[RegisterSpec], app: Box<dyn NfApp>) -> Rig {
     let mut dp = DataPlane::standard();
-    let handles = Rc::new(
-        Handles::build(&mut dp, &[RegisterSpec::ewo_counter(0, "c", 64)], &cfg, 4).unwrap(),
-    );
+    let handles = Rc::new(Handles::build(&mut dp, specs, &cfg, 4).unwrap());
     write_chain_for_tests(
         &mut dp,
         &handles,
@@ -47,11 +69,6 @@ fn rig(me: u16, cfg: SwishConfig, counter_nf: bool) -> Rig {
         },
     );
     let clock = SwitchClock::new(NodeId(me), ClockMode::Synced { max_skew_ns: 0 }, 0);
-    let app: Box<dyn NfApp> = if counter_nf {
-        Box::new(IncNf)
-    } else {
-        Box::new(ForwardAll { dst: NodeId(1000) })
-    };
     let prog = SwishProgram::new(NodeId(me), cfg, handles, app, clock);
     Rig { dp, prog }
 }
@@ -96,7 +113,6 @@ fn sync(origin: u16, entries: Vec<SyncEntry>) -> Packet {
         NodeId(origin),
         NodeId(0),
         SwishMsg::Sync(SyncUpdate {
-            reg: 0,
             origin: NodeId(origin),
             trace: TraceId::NONE,
             entries: entries.into(),
@@ -104,19 +120,29 @@ fn sync(origin: u16, entries: Vec<SyncEntry>) -> Packet {
     )
 }
 
+/// An entry for register 0, the counter every rig has.
+fn entry(key: u32, slot: u8, version: u64, value: u64) -> SyncEntry {
+    SyncEntry {
+        reg: 0,
+        key,
+        slot,
+        version,
+        value,
+    }
+}
+
 fn peek(r: &Rig, key: u32) -> u64 {
-    r.prog.peek(&r.dp, 0, key, SimTime(0))
+    peek_reg(r, 0, key)
+}
+
+fn peek_reg(r: &Rig, reg: RegId, key: u32) -> u64 {
+    r.prog.peek(&r.dp, reg, key, SimTime(0))
 }
 
 #[test]
 fn merge_is_idempotent_at_the_register_level() {
     let mut r = rig(0, SwishConfig::default(), false);
-    let e = SyncEntry {
-        key: 3,
-        slot: 2,
-        version: 5,
-        value: 50,
-    };
+    let e = entry(3, 2, 5, 50);
     deliver(&mut r, sync(2, vec![e]), 100);
     assert_eq!(peek(&r, 3), 50);
     assert_eq!(r.prog.metrics().merge_applied, 1);
@@ -130,33 +156,9 @@ fn merge_is_idempotent_at_the_register_level() {
 #[test]
 fn stale_slot_updates_never_regress_the_counter() {
     let mut r = rig(0, SwishConfig::default(), false);
-    deliver(
-        &mut r,
-        sync(
-            2,
-            vec![SyncEntry {
-                key: 3,
-                slot: 2,
-                version: 9,
-                value: 90,
-            }],
-        ),
-        100,
-    );
+    deliver(&mut r, sync(2, vec![entry(3, 2, 9, 90)]), 100);
     // An old view of the same slot must not shrink it.
-    deliver(
-        &mut r,
-        sync(
-            1,
-            vec![SyncEntry {
-                key: 3,
-                slot: 2,
-                version: 4,
-                value: 40,
-            }],
-        ),
-        200,
-    );
+    deliver(&mut r, sync(1, vec![entry(3, 2, 4, 40)]), 200);
     assert_eq!(peek(&r, 3), 90);
 }
 
@@ -165,20 +167,65 @@ fn relayed_sync_carries_third_party_slots() {
     // Periodic sync relays ALL slots a switch knows, not just its own:
     // switch 0 learns slot 2's value from switch 1's relay.
     let mut r = rig(0, SwishConfig::default(), false);
+    deliver(&mut r, sync(1, vec![entry(7, 2, 3, 30)]), 100);
+    assert_eq!(peek(&r, 7), 30);
+}
+
+#[test]
+fn sync_skips_entries_for_unknown_or_non_ewo_registers() {
+    let specs = [
+        RegisterSpec::ewo_counter(0, "c", 64),
+        RegisterSpec::sro(1, "s", 64),
+    ];
+    let mut r = rig_with(0, SwishConfig::default(), &specs, Box::new(IncNf));
+    let unknown = SyncEntry {
+        reg: 99,
+        ..entry(3, 2, 5, 50)
+    };
+    let chain_reg = SyncEntry {
+        reg: 1,
+        ..entry(3, 2, 5, 50)
+    };
     deliver(
         &mut r,
-        sync(
-            1,
-            vec![SyncEntry {
-                key: 7,
-                slot: 2,
-                version: 3,
-                value: 30,
-            }],
-        ),
+        sync(2, vec![unknown, chain_reg, entry(4, 2, 6, 60)]),
         100,
     );
-    assert_eq!(peek(&r, 7), 30);
+    assert_eq!(peek(&r, 4), 60, "the valid entry still merges");
+    assert_eq!(peek(&r, 3), 0);
+    assert_eq!(peek_reg(&r, 1, 3), 0, "an SRO register is not merged into");
+    assert_eq!(r.prog.metrics().merge_entries, 1);
+}
+
+#[test]
+fn eager_mirror_coalesces_registers() {
+    let specs = [
+        RegisterSpec::ewo_counter(0, "c", 64),
+        RegisterSpec::ewo_lww(1, "l", 64),
+    ];
+    let mut r = rig_with(0, SwishConfig::default(), &specs, Box::new(TwoRegNf));
+    let fx = deliver(&mut r, data(5), 100);
+    let mirrors: Vec<Vec<SyncEntry>> = fx
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Multicast {
+                body: PacketBody::Swish(SwishMsg::Sync(u)),
+                ..
+            } => Some(u.entries.to_vec()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(mirrors.len(), 1, "one mirror per pipeline pass");
+    let regs: Vec<RegId> = mirrors[0].iter().map(|e| e.reg).collect();
+    assert_eq!(regs, [0, 1]);
+    assert!(mirrors[0].iter().all(|e| e.key == 5));
+    assert_eq!(r.prog.metrics().mirror_packets, 1);
+
+    // A peer applies both registers from that one update.
+    let mut peer = rig_with(1, SwishConfig::default(), &specs, Box::new(TwoRegNf));
+    deliver(&mut peer, sync(0, mirrors[0].clone()), 200);
+    assert_eq!(peek_reg(&peer, 0, 5), 1);
+    assert_eq!(peek_reg(&peer, 1, 5), 7);
 }
 
 #[test]

@@ -307,7 +307,6 @@ mod tests {
             NodeId(0),
             NodeId(1),
             SwishMsg::Sync(SyncUpdate {
-                reg: 0,
                 origin: NodeId(0),
                 trace: swishmem_wire::TraceId::NONE,
                 entries: vec![].into(),

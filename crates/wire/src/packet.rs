@@ -175,6 +175,10 @@ pub struct Packet {
     pub body: PacketBody,
 }
 
+// A ceiling, not a target: the simulator moves packets by value through
+// its event queue, so a frame must not grow past its current size.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 136);
+
 impl Packet {
     /// Wrap a data packet.
     pub fn data(src: NodeId, dst: NodeId, dp: DataPacket) -> Packet {
@@ -299,10 +303,10 @@ mod tests {
             NodeId(0),
             NodeId(1),
             SwishMsg::Sync(SyncUpdate {
-                reg: 2,
                 origin: NodeId(0),
                 trace: crate::TraceId::NONE,
                 entries: vec![SyncEntry {
+                    reg: 2,
                     key: 1,
                     slot: 0,
                     version: 3,

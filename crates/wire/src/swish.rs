@@ -7,9 +7,10 @@
 //!   plane), [`PendingClear`] (tail → chain multicast, clears pending bits),
 //!   [`ReadForward`] (a data packet tunneled to the tail when its read hit a
 //!   pending register).
-//! * **EWO (§6.2)** — [`SyncUpdate`]: a batch of `(key, slot, version,
-//!   value)` entries, sent both eagerly after a local write (egress
-//!   mirroring + multicast) and by the periodic packet-generator sync task.
+//! * **EWO (§6.2)** — [`SyncUpdate`]: a batch of `(reg, key, slot,
+//!   version, value)` entries, sent both eagerly after a local write (one
+//!   egress mirror + multicast per pipeline pass, covering every register
+//!   the pass wrote) and by the periodic packet-generator sync task.
 //! * **Failure handling (§6.3)** — [`Heartbeat`], [`ChainConfig`],
 //!   [`GroupConfig`], [`SnapshotRequest`]/[`SnapshotChunk`]/
 //!   [`CatchupComplete`] for new-replica recovery.
@@ -27,8 +28,10 @@ use crate::{NodeId, WireError};
 /// Protocol version spoken by this library.
 ///
 /// Version 2 added the in-band [`TraceId`] carried by [`WriteRequest`],
-/// [`WriteAck`], [`ReadForward`] and [`SyncUpdate`].
-pub const WIRE_VERSION: u8 = 2;
+/// [`WriteAck`], [`ReadForward`] and [`SyncUpdate`]. Version 3 moved the
+/// register id from the [`SyncUpdate`] header into each [`SyncEntry`],
+/// encoded as register runs, so one update can carry several registers.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Causal trace identifier for one logical operation (an SRO/ERO write, a
 /// forwarded read, an EWO sync round).
@@ -164,11 +167,14 @@ pub struct PendingClear {
     pub seq: u64,
 }
 
-/// One `(key, slot, version, value)` entry of an EWO synchronization
+/// One `(reg, key, slot, version, value)` entry of an EWO synchronization
 /// message (§6.2, §7: "one register array for each switch in the replica
 /// group; each register array stores a version number and a value").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncEntry {
+    /// Register this entry belongs to. Taken from the wire, so receivers
+    /// must check it names an EWO register before using it.
+    pub reg: RegId,
     /// Key within the register.
     pub key: Key,
     /// Which replica's slot this entry describes (index into the replica
@@ -182,11 +188,16 @@ pub struct SyncEntry {
     pub value: u64,
 }
 
-/// An EWO update batch (§6.2).
+// `reg` sits in what was padding after `key` and `slot`.
+const _: () = assert!(std::mem::size_of::<SyncEntry>() == 24);
+
+/// An EWO update batch (§6.2). Entries of several registers may share
+/// one batch; on the wire, consecutive entries of one register form a
+/// run that names the register once. Encoding panics on a batch of more
+/// than `u16::MAX` runs, which no sender builds: a mirror flush sorts by
+/// register and a sync tick crosses each register at most twice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncUpdate {
-    /// Register these entries belong to.
-    pub reg: RegId,
     /// Switch that sent this batch.
     pub origin: NodeId,
     /// Causal trace of the sync round (or mirror burst) that produced this
@@ -834,6 +845,10 @@ pub enum SwishMsg {
     CtrlSnap(CtrlSnap),
 }
 
+// A ceiling, not a target: every packet carries a `SwishMsg` inline, so
+// the message must not grow past its current size.
+const _: () = assert!(std::mem::size_of::<SwishMsg>() <= 128);
+
 const TAG_WRITE: u8 = 0x01;
 const TAG_ACK: u8 = 0x02;
 const TAG_CLEAR: u8 = 0x03;
@@ -890,6 +905,16 @@ fn decode_nodes(r: &mut Reader<'_>) -> Result<Vec<NodeId>, WireError> {
     Ok(out)
 }
 
+/// Split `entries` into the register runs a [`SyncUpdate`] is encoded as:
+/// maximal stretches of consecutive entries with the same `reg`, each cut
+/// into pieces of at most `u16::MAX` entries so its count fits the run
+/// header. Runs keep entry order, so decoding restores `entries` exactly.
+fn sync_runs(entries: &[SyncEntry]) -> impl Iterator<Item = &[SyncEntry]> {
+    entries
+        .chunk_by(|a, b| a.reg == b.reg)
+        .flat_map(|run| run.chunks(usize::from(u16::MAX)))
+}
+
 impl SwishMsg {
     /// Append the versioned message to `w`.
     pub fn encode(&self, w: &mut Writer) {
@@ -924,15 +949,23 @@ impl SwishMsg {
             }
             SwishMsg::Sync(m) => {
                 w.u8(TAG_SYNC);
-                w.u16(m.reg);
                 encode_node(w, m.origin);
                 w.u64(m.trace.0);
-                w.u16(m.entries.len() as u16);
-                for e in &m.entries {
-                    w.u32(e.key);
-                    w.u8(e.slot);
-                    w.u64(e.version);
-                    w.u64(e.value);
+                let n_runs = sync_runs(&m.entries).count();
+                assert!(
+                    n_runs <= usize::from(u16::MAX),
+                    "sync update spans {n_runs} register runs, more than one frame holds"
+                );
+                w.u16(n_runs as u16);
+                for run in sync_runs(&m.entries) {
+                    w.u16(run[0].reg);
+                    w.u16(run.len() as u16);
+                    for e in run {
+                        w.u32(e.key);
+                        w.u8(e.slot);
+                        w.u64(e.version);
+                        w.u64(e.value);
+                    }
                 }
             }
             SwishMsg::SnapReq(m) => {
@@ -1179,21 +1212,32 @@ impl SwishMsg {
                 seq: r.u64()?,
             }),
             TAG_SYNC => {
-                let reg = r.u16()?;
                 let origin = decode_node(r)?;
                 let trace = TraceId(r.u64()?);
-                let n = r.u16()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push(SyncEntry {
-                        key: r.u32()?,
-                        slot: r.u8()?,
-                        version: r.u64()?,
-                        value: r.u64()?,
-                    });
+                let n_runs = r.u16()?;
+                let mut entries = Vec::new();
+                for _ in 0..n_runs {
+                    let reg = r.u16()?;
+                    let n = r.u16()?;
+                    if n == 0 {
+                        // The encoder never emits an empty run.
+                        return Err(WireError::InvalidField {
+                            field: "sync.run_len",
+                            value: 0,
+                        });
+                    }
+                    entries.reserve(usize::from(n).min(4096));
+                    for _ in 0..n {
+                        entries.push(SyncEntry {
+                            reg,
+                            key: r.u32()?,
+                            slot: r.u8()?,
+                            version: r.u64()?,
+                            value: r.u64()?,
+                        });
+                    }
                 }
                 SwishMsg::Sync(SyncUpdate {
-                    reg,
                     origin,
                     trace,
                     entries: entries.into(),
@@ -1449,7 +1493,12 @@ impl SwishMsg {
             SwishMsg::Write(_) => 8 + 2 + 4 + 2 + 4 + 8 + 9 + 8,
             SwishMsg::Ack(_) => 8 + 2 + 2 + 4 + 8 + 8,
             SwishMsg::Clear(_) => 4 + 2 + 4 + 8,
-            SwishMsg::Sync(m) => 2 + 2 + 8 + 2 + m.entries.len() * (4 + 1 + 8 + 8),
+            SwishMsg::Sync(m) => {
+                2 + 8
+                    + 2
+                    + sync_runs(&m.entries).count() * (2 + 2)
+                    + m.entries.len() * (4 + 1 + 8 + 8)
+            }
             SwishMsg::SnapReq(_) => 2 + 4,
             SwishMsg::SnapChunk(m) => 2 + 2 + 1 + 2 + m.entries.len() * (4 + 8 + 8),
             SwishMsg::CatchupDone(_) => 2 + 4,
@@ -1554,17 +1603,18 @@ mod tests {
                 seq: 5,
             }),
             SwishMsg::Sync(SyncUpdate {
-                reg: 9,
                 origin: NodeId(4),
                 trace: TraceId::new(NodeId(4), 1),
                 entries: vec![
                     SyncEntry {
+                        reg: 9,
                         key: 0,
                         slot: 4,
                         version: 11,
                         value: 22,
                     },
                     SyncEntry {
+                        reg: 9,
                         key: 5,
                         slot: 4,
                         version: 12,
@@ -1572,6 +1622,21 @@ mod tests {
                     },
                 ]
                 .into(),
+            }),
+            // Three register runs, one register appearing twice.
+            SwishMsg::Sync(SyncUpdate {
+                origin: NodeId(2),
+                trace: TraceId::NONE,
+                entries: [(1, 7), (0, 7), (0, 8), (1, 9)]
+                    .map(|(reg, key)| SyncEntry {
+                        reg,
+                        key,
+                        slot: 2,
+                        version: 1,
+                        value: u64::from(key),
+                    })
+                    .to_vec()
+                    .into(),
             }),
             SwishMsg::SnapReq(SnapshotRequest {
                 target: NodeId(6),
@@ -1938,10 +2003,10 @@ mod tests {
     #[test]
     fn rejects_truncated_sync() {
         let msg = SwishMsg::Sync(SyncUpdate {
-            reg: 1,
             origin: NodeId(0),
             trace: TraceId::NONE,
             entries: vec![SyncEntry {
+                reg: 1,
                 key: 1,
                 slot: 0,
                 version: 1,
@@ -1959,5 +2024,50 @@ mod tests {
                 "cut at {cut} should fail"
             );
         }
+    }
+
+    #[test]
+    fn sync_run_longer_than_u16_splits_and_round_trips() {
+        let entries: Vec<SyncEntry> = (0..70_000u32)
+            .map(|key| SyncEntry {
+                reg: 5,
+                key,
+                slot: 1,
+                version: u64::from(key) + 1,
+                value: u64::from(key) * 3,
+            })
+            .collect();
+        let msg = SwishMsg::Sync(SyncUpdate {
+            origin: NodeId(1),
+            trace: TraceId::NONE,
+            entries: entries.into(),
+        });
+        let mut w = Writer::new();
+        msg.encode(&mut w);
+        assert_eq!(w.len(), msg.wire_len());
+        let buf = w.finish();
+        let mut r = Reader::new(&buf);
+        assert_eq!(SwishMsg::decode(&mut r).unwrap(), msg);
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn rejects_empty_sync_run() {
+        let mut w = Writer::new();
+        w.u8(WIRE_VERSION);
+        w.u8(TAG_SYNC);
+        w.u16(0); // origin
+        w.u64(0); // trace
+        w.u16(1); // one run...
+        w.u16(3); // reg
+        w.u16(0); // ...of no entries
+        let buf = w.finish();
+        assert!(matches!(
+            SwishMsg::decode(&mut Reader::new(&buf)),
+            Err(WireError::InvalidField {
+                field: "sync.run_len",
+                ..
+            })
+        ));
     }
 }

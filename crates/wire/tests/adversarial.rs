@@ -7,23 +7,42 @@ use swishmem_wire::cursor::{Reader, Writer};
 use swishmem_wire::swish::{SyncEntry, SyncUpdate, TraceId, WIRE_VERSION};
 use swishmem_wire::{NodeId, Packet, SwishMsg};
 
-/// A SyncUpdate frame whose entry-count field claims far more entries
-/// than the buffer carries. The decoder must fail on truncation, not
-/// pre-allocate for the claimed count.
+/// SyncUpdate frames whose count fields claim far more than the buffer
+/// carries: a register run claiming 65535 entries, and a header claiming
+/// 65535 runs. The decoder must fail on truncation, not pre-allocate for
+/// the claimed count.
 #[test]
 fn sync_update_with_hostile_entry_count() {
     let mut w = Writer::new();
     w.u8(WIRE_VERSION);
     w.u8(0x04); // TAG_SYNC
-    w.u16(3); // reg
     w.u16(0); // origin
     w.u64(0); // trace
+    w.u16(1); // one register run
+    w.u16(3); // reg
     w.u16(u16::MAX); // claims 65535 entries...
     w.u64(0); // ...but carries 8 junk bytes
     let buf = w.finish();
     let mut r = Reader::new(&buf);
     let err = SwishMsg::decode(&mut r);
-    assert!(err.is_err(), "hostile count must not decode: {err:?}");
+    assert!(err.is_err(), "hostile entry count must not decode: {err:?}");
+
+    let mut w = Writer::new();
+    w.u8(WIRE_VERSION);
+    w.u8(0x04); // TAG_SYNC
+    w.u16(0); // origin
+    w.u64(0); // trace
+    w.u16(u16::MAX); // claims 65535 runs...
+    w.u16(3); // ...but carries one run header
+    w.u16(1);
+    w.u32(9); // and one entry
+    w.u8(0);
+    w.u64(1);
+    w.u64(1);
+    let buf = w.finish();
+    let mut r = Reader::new(&buf);
+    let err = SwishMsg::decode(&mut r);
+    assert!(err.is_err(), "hostile run count must not decode: {err:?}");
 }
 
 #[test]
@@ -44,17 +63,18 @@ fn chain_config_with_hostile_member_count() {
 #[test]
 fn single_byte_mutations_never_panic() {
     let msg = SwishMsg::Sync(SyncUpdate {
-        reg: 2,
         origin: NodeId(1),
         trace: TraceId::new(NodeId(1), 3),
         entries: vec![
             SyncEntry {
+                reg: 2,
                 key: 1,
                 slot: 0,
                 version: 10,
                 value: 20,
             },
             SyncEntry {
+                reg: 4,
                 key: 2,
                 slot: 1,
                 version: 30,
@@ -81,10 +101,10 @@ fn every_truncation_point_errors() {
         NodeId(3),
         NodeId(4),
         SwishMsg::Sync(SyncUpdate {
-            reg: 1,
             origin: NodeId(3),
             trace: TraceId::NONE,
             entries: vec![SyncEntry {
+                reg: 1,
                 key: 9,
                 slot: 2,
                 version: 7,

@@ -45,15 +45,23 @@ fn arb_data_packet() -> impl Strategy<Value = DataPacket> {
     })
 }
 
+/// Registers drawn from a small set, so generated batches mix runs of
+/// one register with register changes.
 fn arb_sync_entry() -> impl Strategy<Value = SyncEntry> {
-    (any::<u32>(), any::<u8>(), any::<u64>(), any::<u64>()).prop_map(
-        |(key, slot, version, value)| SyncEntry {
+    (
+        0u16..4,
+        any::<u32>(),
+        any::<u8>(),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(reg, key, slot, version, value)| SyncEntry {
+            reg,
             key,
             slot,
             version,
             value,
-        },
-    )
+        })
 }
 
 fn arb_msg() -> impl Strategy<Value = SwishMsg> {
@@ -106,14 +114,13 @@ fn arb_msg() -> impl Strategy<Value = SwishMsg> {
             })
         ),
         (
-            any::<u16>(),
+            any::<u64>(),
             arb_node(),
             prop::collection::vec(arb_sync_entry(), 0..20)
         )
-            .prop_map(|(reg, origin, entries)| SwishMsg::Sync(SyncUpdate {
-                reg,
+            .prop_map(|(ctr, origin, entries)| SwishMsg::Sync(SyncUpdate {
                 origin,
-                trace: TraceId::new(origin, u64::from(reg)),
+                trace: TraceId::new(origin, ctr),
                 entries: entries.into()
             })),
         (
