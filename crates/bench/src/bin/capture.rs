@@ -24,6 +24,7 @@ use std::io::BufWriter;
 
 use swishmem::prelude::*;
 use swishmem::{NfDecision, RegisterSpec, SharedState};
+use swishmem_bench::cli::Flags;
 use swishmem_bench::json::Json;
 use swishmem_nf::workload::{EcmpRouter, FlowGen, FlowGenConfig, RoutingMode};
 use swishmem_replay::{
@@ -97,34 +98,42 @@ fn write_records(path: &str, records: &[TraceRecord], meta: TraceMeta) -> (u64, 
     (n, meta)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out = get("--out").unwrap_or_else(|| "capture.swtrace".to_string());
-    let json_path = get("--json").unwrap_or_else(|| "results/E24_capture.json".to_string());
-    let seed: u64 = get("--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
+const USAGE: &str = "\
+usage: capture (--synth [--flows N] | --run [--rate F] | --import-text PATH)
+               [--seed S] [--out PATH.swtrace] [--json PATH]
+       --synth also takes [--clients N] [--servers N] [--ingress N]
+               [--duration-ns N] [--udp]";
 
-    let (source, count, meta) = if has("--synth") {
-        let flows: u64 = get("--flows")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(100_000);
+fn main() {
+    let flags = Flags::parse(
+        USAGE,
+        &[
+            "--out",
+            "--json",
+            "--seed",
+            "--flows",
+            "--clients",
+            "--servers",
+            "--ingress",
+            "--duration-ns",
+            "--rate",
+            "--import-text",
+        ],
+        &["--synth", "--run", "--udp"],
+    );
+    let out = flags.value_or("--out", "capture.swtrace".to_string());
+    let json_path = flags.value_or("--json", "results/E24_capture.json".to_string());
+    let seed: u64 = flags.value_or("--seed", 1);
+
+    let (source, count, meta) = if flags.has("--synth") {
+        let flows: u64 = flags.value_or("--flows", 100_000);
         let cfg = SynthConfig {
             flows,
-            clients: get("--clients")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(4_096),
-            servers: get("--servers").and_then(|s| s.parse().ok()).unwrap_or(256),
-            ingress: get("--ingress").and_then(|s| s.parse().ok()).unwrap_or(4),
-            duration: get("--duration-ns")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(flows.max(10_000) * 100),
-            tcp: !has("--udp"),
+            clients: flags.value_or("--clients", 4_096),
+            servers: flags.value_or("--servers", 256),
+            ingress: flags.value_or("--ingress", 4),
+            duration: flags.value_or("--duration-ns", flows.max(10_000) * 100),
+            tcp: !flags.has("--udp"),
             ..SynthConfig::default()
         };
         let file = std::fs::File::create(&out).expect("create output trace");
@@ -136,15 +145,13 @@ fn main() {
         let n = synth_to_writer(&cfg, seed, &mut w).expect("synthesis");
         let (_, meta) = w.finish().expect("finalize trace");
         ("synth", n, meta)
-    } else if has("--run") {
-        let rate: f64 = get("--rate")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(10_000.0);
+    } else if flags.has("--run") {
+        let rate: f64 = flags.value_or("--rate", 10_000.0);
         let records = record_live_run(seed, rate);
         let (n, meta) = write_records(&out, &records, TraceMeta::new(3, seed, "live-run"));
         ("live-run", n, meta)
-    } else if let Some(text_path) = get("--import-text") {
-        let text = std::fs::read_to_string(&text_path).expect("read text trace");
+    } else if let Some(text_path) = flags.get("--import-text") {
+        let text = std::fs::read_to_string(text_path).expect("read text trace");
         let records = records_from_text(&text).unwrap_or_else(|e| panic!("parse {text_path}: {e}"));
         let ingress = records
             .iter()
@@ -155,9 +162,7 @@ fn main() {
         let (n, meta) = write_records(&out, &records, TraceMeta::new(ingress, seed, "text-import"));
         ("text-import", n, meta)
     } else {
-        eprintln!("usage: capture (--synth [--flows N] | --run [--rate F] | --import-text PATH)");
-        eprintln!("               [--seed S] [--out PATH.swtrace] [--json PATH]");
-        std::process::exit(2);
+        flags.fail("pick a source: --synth, --run or --import-text");
     };
 
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);

@@ -25,6 +25,7 @@ use swishmem::prelude::*;
 use swishmem::{
     Deployment, Failover, Journal, NfApp, NfDecision, RegisterSpec, SharedState, TriggerOp,
 };
+use swishmem_bench::cli::Flags;
 use swishmem_bench::json::Json;
 use swishmem_bench::scenarios::udp_write;
 use swishmem_bench::spans::ctrl_to_perfetto;
@@ -120,7 +121,7 @@ fn run_crash(seed: u64) -> RunOutput {
         .map(|e| e.time.since(t_crash).0);
     let col = handle.borrow();
     RunOutput {
-        journal: Journal::decode(col.records()),
+        journal: Journal::decode(col.entries()),
         records: col.len(),
         overflowed: col.overflowed(),
         t_crash,
@@ -181,15 +182,13 @@ fn opt_ns(v: Option<u64>) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let seed: u64 = flag_val("--seed").map_or(801, |s| s.parse().expect("numeric seed"));
-    let out_dir = flag_val("--out-dir").unwrap_or_else(|| "results".to_string());
+    let flags = Flags::parse(
+        "usage: ctrl_explain [--seed N] [--out-dir DIR]",
+        &["--seed", "--out-dir"],
+        &[],
+    );
+    let seed: u64 = flags.value_or("--seed", 801);
+    let out_dir = flags.value_or("--out-dir", "results".to_string());
 
     println!("ctrl_explain: leader-crash flight recording, seed {seed}");
     let out = run_crash(seed);

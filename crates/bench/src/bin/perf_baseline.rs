@@ -26,6 +26,7 @@ use std::net::Ipv4Addr;
 use std::time::Instant;
 use swishmem::prelude::*;
 use swishmem::{NfDecision, RegisterSpec, SharedState};
+use swishmem_bench::cli::Flags;
 use swishmem_bench::json::Json;
 use swishmem_bench::shardnet::{run_leaf_spine, LeafSpineSpec, ShardRunConfig};
 use swishmem_nf::{DdosConfig, DdosDetector, DdosStatsHandle};
@@ -350,22 +351,20 @@ fn append_run(path: &str, run: Json) {
     std::fs::write(path, content).expect("write baseline json");
 }
 
+const USAGE: &str = "usage: perf_baseline [--label NAME] [--out PATH.json] [--reps N] \
+                     [--shards N] [--topology leaf-spine:<L>x<S>]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let label = get("--label").unwrap_or_else(|| "current".to_string());
-    let out = get("--out").unwrap_or_else(|| "BENCH_simnet.json".to_string());
-    let reps: u32 = get("--reps").and_then(|r| r.parse().ok()).unwrap_or(5);
-    let shards: usize = get("--shards").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let topology = get("--topology").map(|t| {
-        LeafSpineSpec::parse(&t)
-            .unwrap_or_else(|| panic!("unsupported --topology {t:?} (want leaf-spine:<L>x<S>)"))
-    });
+    let flags = Flags::parse(
+        USAGE,
+        &["--label", "--out", "--reps", "--shards", "--topology"],
+        &[],
+    );
+    let label = flags.value_or("--label", "current".to_string());
+    let out = flags.value_or("--out", "BENCH_simnet.json".to_string());
+    let reps: u32 = flags.value_or("--reps", 5);
+    let shards: usize = flags.value_or("--shards", 1);
+    let topology = flags.get_with("--topology", LeafSpineSpec::parse);
 
     eprintln!("measuring engine baseline ({reps} reps per scenario) ...");
     let mut scenarios = vec![

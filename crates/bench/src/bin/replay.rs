@@ -23,6 +23,7 @@ use std::io::BufReader;
 
 use swishmem::prelude::*;
 use swishmem::{NfDecision, RegisterSpec, SharedState};
+use swishmem_bench::cli::Flags;
 use swishmem_bench::json::Json;
 use swishmem_bench::shardnet::{
     run_leaf_spine_injected, trace_to_leaf_spine, LeafSpineSpec, ShardRunConfig,
@@ -176,45 +177,55 @@ fn run_packs(seed: u64, quick: bool, only: Option<&str>) -> (Json, bool) {
     (json, all_pass)
 }
 
+const USAGE: &str = "\
+usage: replay --trace PATH [--leafspine LxS --shards N | --speedup F --batch N --ring N]
+       replay --packs [--quick] [--pack NAME] [--seed S] [--json PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let seed: u64 = get("--seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let json_path = get("--json").unwrap_or_else(|| "results/E24_replay.json".to_string());
+    let flags = Flags::parse(
+        USAGE,
+        &[
+            "--seed",
+            "--json",
+            "--trace",
+            "--leafspine",
+            "--shards",
+            "--speedup",
+            "--batch",
+            "--ring",
+            "--pack",
+        ],
+        &["--packs", "--quick"],
+    );
+    let seed: u64 = flags.value_or("--seed", 1);
+    let json_path = flags.value_or("--json", "results/E24_replay.json".to_string());
     let mut sections: Vec<(&str, Json)> = Vec::new();
     let mut ok = true;
 
-    if let Some(trace) = get("--trace") {
-        if let Some(dims) = get("--leafspine") {
-            let spec = LeafSpineSpec::parse(&format!("leaf-spine:{dims}"))
-                .unwrap_or_else(|| panic!("bad --leafspine {dims:?} (want <L>x<S>)"));
-            let shards: usize = get("--shards").and_then(|s| s.parse().ok()).unwrap_or(1);
-            sections.push(("leafspine", leafspine_replay(&trace, spec, shards)));
+    if let Some(trace) = flags.get("--trace") {
+        let leafspine = flags.get_with("--leafspine", |dims| {
+            LeafSpineSpec::parse(&format!("leaf-spine:{dims}"))
+        });
+        if let Some(spec) = leafspine {
+            let shards: usize = flags.value_or("--shards", 1);
+            sections.push(("leafspine", leafspine_replay(trace, spec, shards)));
         } else {
             let cfg = ReplayConfig {
-                speedup: get("--speedup").and_then(|s| s.parse().ok()).unwrap_or(1.0),
-                batch: get("--batch").and_then(|s| s.parse().ok()).unwrap_or(512),
-                ring_capacity: get("--ring").and_then(|s| s.parse().ok()).unwrap_or(4096),
+                speedup: flags.value_or("--speedup", 1.0),
+                batch: flags.value_or("--batch", 512),
+                ring_capacity: flags.value_or("--ring", 4096),
                 ..ReplayConfig::default()
             };
-            sections.push(("proto", proto_replay(&trace, seed, &cfg)));
+            sections.push(("proto", proto_replay(trace, seed, &cfg)));
         }
     }
-    if has("--packs") || get("--pack").is_some() {
-        let (json, pass) = run_packs(seed, has("--quick"), get("--pack").as_deref());
+    if flags.has("--packs") || flags.get("--pack").is_some() {
+        let (json, pass) = run_packs(seed, flags.has("--quick"), flags.get("--pack"));
         ok &= pass;
         sections.push(("packs", json));
     }
     if sections.is_empty() {
-        eprintln!("usage: replay --trace PATH [--leafspine LxS --shards N | --speedup F --batch N --ring N]");
-        eprintln!("       replay --packs [--quick] [--pack NAME] [--seed S] [--json PATH]");
-        std::process::exit(2);
+        flags.fail("nothing to do: give --trace or --packs");
     }
 
     if let Some(dir) = std::path::Path::new(&json_path).parent() {

@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use swishmem::oracle::{OracleConfig, OracleSuite};
 use swishmem::prelude::*;
 use swishmem::{NfApp, NfDecision, RegisterSpec, SharedState};
+use swishmem_bench::cli::Flags;
 use swishmem_bench::json::Json;
 use swishmem_bench::scenarios::udp_write;
 use swishmem_bench::spans::{explain, phase_histograms, to_perfetto, TraceBreakdown};
@@ -90,7 +91,7 @@ fn run_sweep(seed: u64, with_faults: bool) -> RunOutput {
         latency_samples.extend_from_slice(dep.metrics(i).cp.write_latency.samples());
     }
     RunOutput {
-        events: c.events().to_vec(),
+        events: c.entries().to_vec(),
         overflowed: c.overflowed(),
         latency_samples,
         crashes,
@@ -142,16 +143,14 @@ fn reconcile(breakdowns: &[TraceBreakdown], out: &RunOutput) -> Result<String, S
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_val = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let seed: u64 = flag_val("--seed").map_or(400, |s| s.parse().expect("numeric seed"));
-    let with_faults = !args.iter().any(|a| a == "--no-faults");
-    let out_dir = flag_val("--out-dir").unwrap_or_else(|| "results".to_string());
+    let flags = Flags::parse(
+        "usage: trace_explain [--seed N] [--no-faults] [--out-dir DIR]",
+        &["--seed", "--out-dir"],
+        &["--no-faults"],
+    );
+    let seed: u64 = flags.value_or("--seed", 400);
+    let with_faults = !flags.has("--no-faults");
+    let out_dir = flags.value_or("--out-dir", "results".to_string());
 
     println!(
         "trace_explain: SRO fault sweep, seed {seed}, faults {}",

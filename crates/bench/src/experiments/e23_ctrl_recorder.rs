@@ -180,7 +180,7 @@ pub fn crash_gaps(seed: u64) -> Option<(u64, u64)> {
         .iter()
         .find(|e| e.time >= t_crash)
         .map(|e| e.time.since(t_crash).0)?;
-    let decoded = Journal::decode(journal.borrow().records());
+    let decoded = Journal::decode(journal.borrow().entries());
     let reconstructed = decoded
         .failovers()
         .iter()

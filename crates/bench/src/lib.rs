@@ -16,6 +16,7 @@
 //! Criterion micro-benchmarks for the hot paths live under `benches/`.
 #![allow(clippy::field_reassign_with_default)] // experiment configs read clearer as sequential overrides
 
+pub mod cli;
 pub mod experiments;
 pub mod json;
 pub mod scenarios;

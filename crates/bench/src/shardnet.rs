@@ -146,6 +146,7 @@ pub struct ShardOracle {
 impl NetObserver for ShardOracle {
     fn on_net_event(&mut self, _now: SimTime, ev: &NetEvent<'_>) {
         match *ev {
+            NetEvent::Injected { .. } => {}
             NetEvent::Delivered { to, .. } => {
                 if self.down.contains(&to.0) {
                     self.violations += 1;

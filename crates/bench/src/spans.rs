@@ -94,6 +94,86 @@ pub fn phase_histograms(breakdowns: &[TraceBreakdown]) -> Vec<(String, Histogram
     out
 }
 
+// Chrome/Perfetto `trace_event` builders shared by both exporters.
+
+/// Chrome trace_event timestamps are microseconds; keep sub-µs precision
+/// by emitting fractional values.
+fn us(ns: u64) -> Json {
+    Json::Num(ns as f64 / 1000.0)
+}
+
+/// Name process `pid`.
+fn proc_meta(out: &mut Vec<Json>, pid: u64, name: impl Into<String>) {
+    out.push(Json::obj(vec![
+        ("name", Json::str("process_name")),
+        ("ph", Json::str("M")),
+        ("pid", Json::from(pid)),
+        ("args", Json::obj(vec![("name", Json::str(name))])),
+    ]));
+}
+
+/// Name thread `tid` of process `pid`.
+fn thread_meta(out: &mut Vec<Json>, pid: u64, tid: u64, name: impl Into<String>) {
+    out.push(Json::obj(vec![
+        ("name", Json::str("thread_name")),
+        ("ph", Json::str("M")),
+        ("pid", Json::from(pid)),
+        ("tid", Json::from(tid)),
+        ("args", Json::obj(vec![("name", Json::str(name))])),
+    ]));
+}
+
+/// A thread-scoped instant (`"i"`) event on track `(pid, tid)`.
+fn instant(
+    out: &mut Vec<Json>,
+    cat: &str,
+    (pid, tid): (u64, u64),
+    ts: u64,
+    name: impl Into<String>,
+    args: Json,
+) {
+    out.push(Json::obj(vec![
+        ("name", Json::str(name)),
+        ("cat", Json::str(cat)),
+        ("ph", Json::str("i")),
+        ("s", Json::str("t")),
+        ("ts", us(ts)),
+        ("pid", Json::from(pid)),
+        ("tid", Json::from(tid)),
+        ("args", args),
+    ]));
+}
+
+/// A complete (`"X"`) event of `dur` ns on track `(pid, tid)`.
+fn slice(
+    out: &mut Vec<Json>,
+    cat: &str,
+    (pid, tid): (u64, u64),
+    ts: u64,
+    dur: u64,
+    name: impl Into<String>,
+    args: Json,
+) {
+    out.push(Json::obj(vec![
+        ("name", Json::str(name)),
+        ("cat", Json::str(cat)),
+        ("ph", Json::str("X")),
+        ("ts", us(ts)),
+        ("dur", us(dur)),
+        ("pid", Json::from(pid)),
+        ("tid", Json::from(tid)),
+        ("args", args),
+    ]));
+}
+
+/// The finished `trace_event` document.
+fn document(out: Vec<Json>) -> Json {
+    Json::obj(vec![
+        ("traceEvents", Json::Arr(out)),
+        ("displayTimeUnit", Json::str("ns")),
+    ])
+}
+
 /// Render span events as a Chrome/Perfetto `trace_event` JSON document
 /// (loadable in ui.perfetto.dev or chrome://tracing).
 ///
@@ -103,9 +183,7 @@ pub fn phase_histograms(breakdowns: &[TraceBreakdown]) -> Vec<(String, Histogram
 /// previous marker, so the rendered track mirrors the telescoping
 /// breakdown; the opening marker is an instant (`"i"`) event.
 pub fn to_perfetto(events: &[SpanEvent]) -> Json {
-    // Chrome trace_event timestamps are microseconds; keep sub-µs
-    // precision by emitting fractional values.
-    let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
+    let node = |e: &SpanEvent| Json::obj(vec![("node", Json::str(format!("{}", e.node)))]);
 
     let mut by_trace: BTreeMap<u64, Vec<SpanEvent>> = BTreeMap::new();
     for e in events {
@@ -116,67 +194,35 @@ pub fn to_perfetto(events: &[SpanEvent]) -> Json {
     let mut named_pids: Vec<u64> = Vec::new();
     for (tid_seq, (id, tl)) in by_trace.iter_mut().enumerate() {
         tl.sort_by_key(|e| e.time);
-        let trace = TraceId(*id);
         let pid = tl[0].trace.0 >> 48; // origin node + 1
         let tid = tid_seq as u64 + 1;
         if !named_pids.contains(&pid) {
             named_pids.push(pid);
-            out.push(Json::obj(vec![
-                ("name", Json::str("process_name")),
-                ("ph", Json::str("M")),
-                ("pid", Json::from(pid)),
-                (
-                    "args",
-                    Json::obj(vec![(
-                        "name",
-                        Json::str(format!("switch n{}", pid.saturating_sub(1))),
-                    )]),
-                ),
-            ]));
+            proc_meta(&mut out, pid, format!("switch n{}", pid.saturating_sub(1)));
         }
-        out.push(Json::obj(vec![
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            (
-                "args",
-                Json::obj(vec![("name", Json::str(format!("{trace}")))]),
-            ),
-        ]));
-        out.push(Json::obj(vec![
-            ("name", Json::str(tl[0].phase.label())),
-            ("cat", Json::str("span")),
-            ("ph", Json::str("i")),
-            ("s", Json::str("t")),
-            ("ts", us(tl[0].time.nanos())),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            (
-                "args",
-                Json::obj(vec![("node", Json::str(format!("{}", tl[0].node)))]),
-            ),
-        ]));
+        thread_meta(&mut out, pid, tid, format!("{}", TraceId(*id)));
+        let first = &tl[0];
+        instant(
+            &mut out,
+            "span",
+            (pid, tid),
+            first.time.nanos(),
+            first.phase.label(),
+            node(first),
+        );
         for w in tl.windows(2) {
-            out.push(Json::obj(vec![
-                ("name", Json::str(w[1].phase.label())),
-                ("cat", Json::str("span")),
-                ("ph", Json::str("X")),
-                ("ts", us(w[0].time.nanos())),
-                ("dur", us((w[1].time - w[0].time).as_nanos())),
-                ("pid", Json::from(pid)),
-                ("tid", Json::from(tid)),
-                (
-                    "args",
-                    Json::obj(vec![("node", Json::str(format!("{}", w[1].node)))]),
-                ),
-            ]));
+            slice(
+                &mut out,
+                "span",
+                (pid, tid),
+                w[0].time.nanos(),
+                (w[1].time - w[0].time).as_nanos(),
+                w[1].phase.label(),
+                node(&w[1]),
+            );
         }
     }
-    Json::obj(vec![
-        ("traceEvents", Json::Arr(out)),
-        ("displayTimeUnit", Json::str("ns")),
-    ])
+    document(out)
 }
 
 /// Render a decoded control-plane journal as Chrome/Perfetto
@@ -193,9 +239,9 @@ pub fn to_perfetto(events: &[SpanEvent]) -> Json {
 /// of the journal) and a leadership thread (campaign / election / lease
 /// instants).
 pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
-    let us = |ns: u64| Json::Num(ns as f64 / 1000.0);
     let entries = journal.entries();
     let end_ns = entries.last().map(|e| e.time.nanos()).unwrap_or(0);
+    let detail = |d: String| Json::obj(vec![("detail", Json::str(d))]);
 
     const CTRL_PID: u64 = 1;
     const TID_LEADERSHIP: u64 = 1;
@@ -203,56 +249,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
     const TID_COMPACTION: u64 = 3;
 
     let mut out: Vec<Json> = Vec::new();
-    let proc_meta = |out: &mut Vec<Json>, pid: u64, name: String| {
-        out.push(Json::obj(vec![
-            ("name", Json::str("process_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::from(pid)),
-            ("args", Json::obj(vec![("name", Json::str(name))])),
-        ]));
-    };
-    let thread_meta = |out: &mut Vec<Json>, pid: u64, tid: u64, name: &str| {
-        out.push(Json::obj(vec![
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            ("args", Json::obj(vec![("name", Json::str(name))])),
-        ]));
-    };
-    let instant =
-        |out: &mut Vec<Json>, pid: u64, tid: u64, ts: u64, name: String, detail: String| {
-            out.push(Json::obj(vec![
-                ("name", Json::str(name)),
-                ("cat", Json::str("ctrl")),
-                ("ph", Json::str("i")),
-                ("s", Json::str("t")),
-                ("ts", us(ts)),
-                ("pid", Json::from(pid)),
-                ("tid", Json::from(tid)),
-                ("args", Json::obj(vec![("detail", Json::str(detail))])),
-            ]));
-        };
-    let slice = |out: &mut Vec<Json>,
-                 pid: u64,
-                 tid: u64,
-                 ts: u64,
-                 dur: u64,
-                 name: String,
-                 detail: String| {
-        out.push(Json::obj(vec![
-            ("name", Json::str(name)),
-            ("cat", Json::str("ctrl")),
-            ("ph", Json::str("X")),
-            ("ts", us(ts)),
-            ("dur", us(dur)),
-            ("pid", Json::from(pid)),
-            ("tid", Json::from(tid)),
-            ("args", Json::obj(vec![("detail", Json::str(detail))])),
-        ]));
-    };
-
-    proc_meta(&mut out, CTRL_PID, "control plane".into());
+    proc_meta(&mut out, CTRL_PID, "control plane");
     thread_meta(&mut out, CTRL_PID, TID_LEADERSHIP, "leadership");
     thread_meta(&mut out, CTRL_PID, TID_MIGRATIONS, "migrations");
     thread_meta(&mut out, CTRL_PID, TID_COMPACTION, "compaction");
@@ -269,12 +266,12 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
             .max(start);
         slice(
             &mut out,
-            CTRL_PID,
-            TID_LEADERSHIP,
+            "ctrl",
+            (CTRL_PID, TID_LEADERSHIP),
             start,
             stop - start,
             format!("leader n{} (epoch {})", f.leader.0, f.epoch),
-            format!("decree slot {}", f.slot),
+            detail(format!("decree slot {}", f.slot)),
         );
     }
 
@@ -299,23 +296,23 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
         };
         slice(
             &mut out,
-            CTRL_PID,
-            TID_MIGRATIONS,
+            "ctrl",
+            (CTRL_PID, TID_MIGRATIONS),
             begin,
             stop - begin,
             format!("mig reg{}@{} n{}->n{}", m.reg, m.start, m.from.0, m.to.0),
-            format!("epoch {}, {} passes, {outcome}", m.epoch, m.passes),
+            detail(format!("epoch {}, {} passes, {outcome}", m.epoch, m.passes)),
         );
         if let Some(d) = m.dual_owner_at {
             let d_ns = d.nanos();
             slice(
                 &mut out,
-                CTRL_PID,
-                TID_MIGRATIONS,
+                "ctrl",
+                (CTRL_PID, TID_MIGRATIONS),
                 d_ns,
                 stop.max(d_ns) - d_ns,
-                "dual-owner".into(),
-                format!("reg {} start {}", m.reg, m.start),
+                "dual-owner",
+                detail(format!("reg {} start {}", m.reg, m.start)),
             );
         }
     }
@@ -324,30 +321,30 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
     for c in journal.compactions() {
         instant(
             &mut out,
-            CTRL_PID,
-            TID_COMPACTION,
+            "ctrl",
+            (CTRL_PID, TID_COMPACTION),
             c.at.nanos(),
             format!("compact@{}", c.upto),
-            format!("n{}: {} B snapshot", c.node.0, c.snap_bytes),
+            detail(format!("n{}: {} B snapshot", c.node.0, c.snap_bytes)),
         );
     }
     for e in entries {
         match e.event {
             CtrlEvent::SnapshotSent { base, bytes, to } => instant(
                 &mut out,
-                CTRL_PID,
-                TID_COMPACTION,
+                "ctrl",
+                (CTRL_PID, TID_COMPACTION),
                 e.time.nanos(),
                 format!("snapshot@{base} -> n{}", to.0),
-                format!("{bytes} B"),
+                detail(format!("{bytes} B")),
             ),
             CtrlEvent::SnapshotInstalled { base } => instant(
                 &mut out,
-                CTRL_PID,
-                TID_COMPACTION,
+                "ctrl",
+                (CTRL_PID, TID_COMPACTION),
                 e.time.nanos(),
                 format!("snapshot@{base} installed"),
-                format!("n{}", e.node.0),
+                detail(format!("n{}", e.node.0)),
             ),
             _ => {}
         }
@@ -384,22 +381,22 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
                 if let Some((t0, silence, budget)) = open.remove(&(e.node.0, target.0)) {
                     slice(
                         &mut out,
-                        pid,
-                        TID_DETECTOR,
+                        "ctrl",
+                        (pid, TID_DETECTOR),
                         t0,
                         t.max(t0) - t0,
                         format!("suspect n{}", target.0),
-                        format!("{silence} ns silent vs {budget} ns budget"),
+                        detail(format!("{silence} ns silent vs {budget} ns budget")),
                     );
                 }
             }
             CtrlEvent::ElectionStart { ballot, timeout_ns } => instant(
                 &mut out,
-                pid,
-                TID_REPLICA_LEAD,
+                "ctrl",
+                (pid, TID_REPLICA_LEAD),
                 t,
                 format!("election start (ballot {ballot})"),
-                format!("after {timeout_ns} ns silence"),
+                detail(format!("after {timeout_ns} ns silence")),
             ),
             CtrlEvent::LeaderElected {
                 leader,
@@ -407,27 +404,27 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
                 slot,
             } => instant(
                 &mut out,
-                pid,
-                TID_REPLICA_LEAD,
+                "ctrl",
+                (pid, TID_REPLICA_LEAD),
                 t,
                 format!("leader n{} elected (epoch {epoch})", leader.0),
-                format!("decree slot {slot}"),
+                detail(format!("decree slot {slot}")),
             ),
             CtrlEvent::StepDown { slot, ballot } => instant(
                 &mut out,
-                pid,
-                TID_REPLICA_LEAD,
+                "ctrl",
+                (pid, TID_REPLICA_LEAD),
                 t,
-                "step down".into(),
-                format!("slot {slot}, ballot {ballot}"),
+                "step down",
+                detail(format!("slot {slot}, ballot {ballot}")),
             ),
             CtrlEvent::LeaseLost { heard, quorum } => instant(
                 &mut out,
-                pid,
-                TID_REPLICA_LEAD,
+                "ctrl",
+                (pid, TID_REPLICA_LEAD),
                 t,
-                "lease lost".into(),
-                format!("heard {heard} of quorum {quorum}"),
+                "lease lost",
+                detail(format!("heard {heard} of quorum {quorum}")),
             ),
             _ => {}
         }
@@ -436,19 +433,16 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
     for ((node, target), (t0, silence, budget)) in open {
         slice(
             &mut out,
-            pids[&node],
-            TID_DETECTOR,
+            "ctrl",
+            (pids[&node], TID_DETECTOR),
             t0,
             end_ns.max(t0) - t0,
             format!("suspect n{target} (uncleared)"),
-            format!("{silence} ns silent vs {budget} ns budget"),
+            detail(format!("{silence} ns silent vs {budget} ns budget")),
         );
     }
 
-    Json::obj(vec![
-        ("traceEvents", Json::Arr(out)),
-        ("displayTimeUnit", Json::str("ns")),
-    ])
+    document(out)
 }
 
 #[cfg(test)]

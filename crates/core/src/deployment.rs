@@ -402,18 +402,14 @@ impl Deployment {
     }
 
     /// Attach an ingress capture tap of `capacity` records to the
-    /// underlying simulator and return its handle. Every subsequent
-    /// [`Deployment::inject`] (and any raw `sim.inject`) is recorded so
-    /// the run's input stream can be exported as a `.swtrace`.
+    /// underlying simulator (as an observer) and return its handle.
+    /// Every subsequent [`Deployment::inject`] (and any raw `sim.inject`)
+    /// is recorded so the run's input stream can be exported as a
+    /// `.swtrace`.
     pub fn attach_capture(&mut self, capacity: usize) -> swishmem_simnet::CaptureHandle {
-        let h = swishmem_simnet::CaptureBuffer::handle(capacity);
-        self.sim.set_capture(h.clone());
+        let h = swishmem_simnet::CaptureBuffer::new(capacity);
+        self.sim.add_observer(h.clone());
         h
-    }
-
-    /// Detach the ingress capture tap.
-    pub fn detach_capture(&mut self) {
-        self.sim.clear_capture();
     }
 
     /// Typed access to switch `i` (panics if the node is missing).
@@ -688,11 +684,6 @@ impl Deployment {
         h
     }
 
-    /// Detach the span collector; span emission reverts to a no-op.
-    pub fn detach_tracing(&mut self) {
-        self.sim.clear_spans();
-    }
-
     /// Attach the control-plane flight recorder: every consensus
     /// transition, leadership/lease change, detector edge, membership
     /// decree and migration lifecycle step is journaled into the
@@ -703,11 +694,6 @@ impl Deployment {
         let h = swishmem_simnet::JournalCollector::new(capacity);
         self.sim.set_journal(h.clone());
         h
-    }
-
-    /// Detach the flight recorder; journal emission reverts to a no-op.
-    pub fn detach_journal(&mut self) {
-        self.sim.clear_journal();
     }
 
     /// Run to absolute time `t`, pausing every `sampler.interval()` to

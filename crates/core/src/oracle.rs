@@ -912,7 +912,7 @@ impl OracleSuite {
     fn record(&mut self, at: SimTime, kind: ViolationKind) {
         if self.first.is_none() {
             if let Some(h) = &self.journal {
-                let decoded = Journal::decode(h.borrow().records());
+                let decoded = Journal::decode(h.borrow().entries());
                 self.first_context = decoded.tail_strings_at(at, VIOLATION_CONTEXT_EVENTS);
             }
             self.first = Some(Violation { at, kind });
@@ -1168,7 +1168,7 @@ impl OracleSuite {
         if let Some(h) = self.journal.clone() {
             let len = h.borrow().len();
             if len != self.journal_seen {
-                self.journal_cache = Journal::decode(h.borrow().records());
+                self.journal_cache = Journal::decode(h.borrow().entries());
                 self.journal_seen = len;
                 for (at, kind) in
                     failover_gap_violations(&self.journal_cache, self.slo.failover_gap)

@@ -1242,7 +1242,7 @@ mod tests {
                 });
             }
         }
-        let j = Journal::decode(handle.borrow().records());
+        let j = Journal::decode(handle.borrow().entries());
         let tail = j.tail_strings(2);
         assert_eq!(tail.len(), 2);
         assert!(tail[1].contains("learned slot 4"), "{tail:?}");

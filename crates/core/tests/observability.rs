@@ -132,7 +132,7 @@ fn tracing_attach_is_invisible_to_protocol_outcomes() {
     let spans = traced.attach_tracing(100_000);
     run_workload(&mut traced);
 
-    assert!(!spans.borrow().events().is_empty(), "spans were recorded");
+    assert!(!spans.borrow().entries().is_empty(), "spans were recorded");
     for i in 0..3 {
         for key in [7u32, 8, 9] {
             assert_eq!(plain.peek(i, 0, key), traced.peek(i, 0, key));
@@ -169,7 +169,7 @@ fn sro_span_phases_sum_to_write_latency() {
     let c = spans.borrow();
     // Find the (single) trace that reached Release.
     let released: Vec<_> = c
-        .events()
+        .entries()
         .iter()
         .filter(|e| e.phase == SpanPhase::Release)
         .collect();
@@ -231,7 +231,7 @@ fn redirected_read_trace_spans_both_switches() {
     }
     let c = spans.borrow();
     let redirect = c
-        .events()
+        .entries()
         .iter()
         .find(|e| e.phase == SpanPhase::RedirectToTail)
         .expect("redirect span recorded");

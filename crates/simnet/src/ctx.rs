@@ -1,7 +1,7 @@
 //! The per-callback context handed to nodes.
 
 use crate::journal::{JournalCollector, JournalRecord};
-use crate::span::{SpanCollector, SpanPhase};
+use crate::span::{SpanCollector, SpanEvent, SpanPhase};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -121,7 +121,12 @@ impl<'a> Ctx<'a> {
     pub fn span_at(&mut self, at: SimTime, trace: TraceId, phase: SpanPhase) {
         if trace.is_some() {
             if let Some(s) = self.spans {
-                s.borrow_mut().record(at, trace, self.node, phase);
+                s.borrow_mut().record(SpanEvent {
+                    time: at,
+                    trace,
+                    node: self.node,
+                    phase,
+                });
             }
         }
     }

@@ -55,6 +55,10 @@ pub(crate) enum EventKind {
     Vacant,
 }
 
+// Every scheduled event lives in the slab as an `EventKind`; a variant
+// that grows past the inline packet makes every slab slot larger.
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 144);
+
 /// Flat heap entry: the payload stays in the slab, so sifting moves 24
 /// bytes regardless of how large the packet inside the event is.
 #[derive(Clone, Copy)]
@@ -63,6 +67,8 @@ struct HeapEntry {
     key: u64,
     idx: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<HeapEntry>() == 24);
 
 impl HeapEntry {
     #[inline]

@@ -19,6 +19,10 @@
 //!   restarts it with fresh state (§6.3's model).
 //! * **Atomic node callbacks**: a node's outputs are applied only after
 //!   its callback returns, mirroring PISA's atomic per-packet processing.
+//! * **Passive taps**: the packet trace and ingress capture are
+//!   [`NetObserver`]s (`add_observer`); spans and the journal are `Ctx`
+//!   sinks (`set_spans`, `set_journal`). All four are a bounded [`Sink`]
+//!   and none can perturb the run.
 //!
 //! ```
 //! use swishmem_simnet::{Simulator, SimTime, RecorderNode};
@@ -46,6 +50,7 @@ pub mod observe;
 pub mod recorder;
 pub mod shard;
 pub mod sim;
+pub mod sink;
 pub mod span;
 pub mod stats;
 pub mod time;
@@ -62,6 +67,7 @@ pub use observe::{NetEvent, NetObserver, ObserverHandle};
 pub use recorder::{RecorderNode, Recording};
 pub use shard::ShardedEngine;
 pub use sim::{AsAny, NodeObj, Simulator};
+pub use sink::{Sink, SinkHandle};
 pub use span::{SpanCollector, SpanEvent, SpanHandle, SpanPhase};
 pub use stats::{Counter, DropReason, NetStats, TrafficClass};
 pub use time::{SimDuration, SimTime};

@@ -1,11 +1,14 @@
 //! Engine observer hooks.
 //!
-//! Observers are notified synchronously from `Simulator::process` as
-//! events are applied; they see deliveries and fault-plane transitions
-//! but cannot influence the run (no RNG access, no event injection), so
+//! Observers see injections, deliveries and fault-plane transitions but
+//! cannot influence the run (no RNG access, no event injection), so
 //! attaching or detaching an observer never perturbs the determinism
-//! fingerprint. The online consistency oracles in `swishmem-core` are
-//! the primary consumer.
+//! fingerprint. The sequential engine notifies them synchronously as
+//! events are applied; the sharded engine replays buffered events after
+//! each run segment. Both engines report [`NetEvent::Injected`] at the
+//! `inject` call itself. Consumers are the online consistency oracles in
+//! `swishmem-core` and the packet-trace and ingress-capture
+//! [`crate::sink::Sink`]s.
 
 use crate::time::SimTime;
 use std::cell::RefCell;
@@ -15,6 +18,15 @@ use swishmem_wire::{NodeId, Packet};
 /// One observable engine transition.
 #[derive(Debug)]
 pub enum NetEvent<'a> {
+    /// A packet was injected from outside the fabric, to be delivered to
+    /// `pkt.dst` at `at`. Reported when `inject` is called, which is
+    /// always on the control thread.
+    Injected {
+        /// The scheduled delivery time.
+        at: SimTime,
+        /// The packet, borrowed from the caller for the callback only.
+        pkt: &'a Packet,
+    },
     /// A packet was delivered intact to `to` (about to be dispatched).
     Delivered {
         /// Receiving node.
@@ -57,7 +69,8 @@ pub enum NetEvent<'a> {
     },
 }
 
-/// An owned [`NetEvent`], buffered by the sharded engine's worker cores
+/// An owned [`NetEvent`] (other than `Injected`, which is never
+/// buffered), buffered by the sharded engine's worker cores
 /// (which cannot call `Rc`-held observers from other threads) and
 /// replayed through [`NetObserver::on_net_event`] on the control thread
 /// after each run segment.

@@ -41,14 +41,14 @@
 use crate::ctx::{Command, Ctx, GroupId};
 use crate::events::{EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultSchedule, LinkOverlay};
-use crate::journal::{JournalCollector, JournalRecord};
-use crate::observe::{ObserverHandle, OwnedNetEvent};
+use crate::journal::{JournalHandle, JournalRecord};
+use crate::observe::{NetEvent, ObserverHandle, OwnedNetEvent};
 use crate::sim::NodeObj;
-use crate::span::{SpanCollector, SpanEvent};
+use crate::sink::{Sink, SinkHandle};
+use crate::span::{SpanEvent, SpanHandle};
 use crate::stats::{DropReason, NetStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::TraceHandle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -144,13 +144,10 @@ struct Engine {
     stats: NetStats,
     events_processed: u64,
     peak_queue_depth: usize,
-    /// Delivered-frame buffer `(time, key, pkt)`, when a trace handle is
-    /// attached upstream; merged into it after each run segment.
-    trace_buf: Option<Vec<(u64, u64, Packet)>>,
     /// Owned span sink, when a span handle is attached upstream.
-    spans: Option<RefCell<SpanCollector>>,
+    spans: Option<RefCell<Sink<SpanEvent>>>,
     /// Owned journal sink, when a journal handle is attached upstream.
-    journal: Option<RefCell<JournalCollector>>,
+    journal: Option<RefCell<Sink<JournalRecord>>>,
     /// Observer-event buffer `(time, key, event)`, when observers are
     /// registered upstream; replayed through them after each run segment.
     obs_buf: Option<Vec<(u64, u64, OwnedNetEvent)>>,
@@ -192,7 +189,6 @@ impl Engine {
             stats: NetStats::default(),
             events_processed: 0,
             peak_queue_depth: 0,
-            trace_buf: None,
             spans: None,
             journal: None,
             obs_buf: None,
@@ -362,9 +358,6 @@ impl Engine {
                             }
                         }
                         assert_eq!(reparsed, pkt, "codec round-trip drift");
-                    }
-                    if let Some(buf) = &mut self.trace_buf {
-                        buf.push((time.0, key, pkt.clone()));
                     }
                     if let Some(buf) = &mut self.obs_buf {
                         buf.push((
@@ -645,16 +638,12 @@ pub struct ShardedEngine {
     ext_ctr: u64,
     started: bool,
     frozen: bool,
-    trace: Option<TraceHandle>,
     spans: Option<SpanHandle>,
     journal: Option<JournalHandle>,
     observers: Vec<ObserverHandle>,
     wire_check: bool,
     crit_ns: u64,
 }
-
-use crate::journal::JournalHandle;
-use crate::span::SpanHandle;
 
 impl ShardedEngine {
     /// Create an engine that will partition its nodes into (at most)
@@ -676,7 +665,6 @@ impl ShardedEngine {
             ext_ctr: 0,
             started: false,
             frozen: false,
-            trace: None,
             spans: None,
             journal: None,
             observers: Vec::new(),
@@ -737,12 +725,6 @@ impl ShardedEngine {
         self.wire_check = on;
     }
 
-    /// Attach a packet trace; per-shard buffers are merged into it in
-    /// deterministic `(time, key, shard)` order after each run call.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
     /// Attach a span collector (merged deterministically per run call).
     pub fn set_spans(&mut self, spans: SpanHandle) {
         self.spans = Some(spans);
@@ -754,12 +736,13 @@ impl ShardedEngine {
         self.journal = Some(journal);
     }
 
-    /// Attach a passive observer. Events are buffered per shard during a
-    /// run and replayed through the observer in deterministic
-    /// `(time, key)` order after each run call — the same contract as
-    /// the sequential engine except for the deferred delivery, which the
-    /// passivity rule (observers cannot influence the run) makes
-    /// equivalent.
+    /// Attach a passive observer (an oracle, a packet trace or an
+    /// ingress capture). Events are buffered per shard during a run and
+    /// replayed through the observer in deterministic `(time, key)`
+    /// order after each run call — the same contract as the sequential
+    /// engine except for the deferred delivery, which the passivity rule
+    /// (observers cannot influence the run) makes equivalent.
+    /// [`NetEvent::Injected`] is reported at the `inject` call itself.
     pub fn add_observer(&mut self, obs: ObserverHandle) {
         self.observers.push(obs);
     }
@@ -922,6 +905,10 @@ impl ShardedEngine {
     pub fn inject(&mut self, t: SimTime, pkt: Packet) {
         self.freeze();
         assert!(t >= self.now, "cannot inject into the past");
+        let ev = NetEvent::Injected { at: t, pkt: &pkt };
+        for obs in &self.observers {
+            obs.borrow_mut().on_net_event(self.now, &ev);
+        }
         let key = self.next_ext_key();
         let shard = self.map.shard_of(pkt.dst) as usize;
         let to = pkt.dst;
@@ -1049,22 +1036,18 @@ impl ShardedEngine {
     }
 
     fn sync_sinks(&mut self) {
-        let trace_on = self.trace.is_some();
         let spans_on = self.spans.is_some();
         let journal_on = self.journal.is_some();
         let obs_on = !self.observers.is_empty();
         let wc = self.wire_check;
         for e in &mut self.engines {
-            if trace_on && e.trace_buf.is_none() {
-                e.trace_buf = Some(Vec::new());
-            }
+            // Per-shard sinks are unbounded; the attached handle enforces
+            // its own capacity at merge time.
             if spans_on && e.spans.is_none() {
-                // Per-shard collectors are unbounded; the attached handle
-                // enforces its own capacity at merge time.
-                e.spans = Some(RefCell::new(SpanCollector::detached(usize::MAX)));
+                e.spans = Some(RefCell::new(Sink::detached(usize::MAX)));
             }
             if journal_on && e.journal.is_none() {
-                e.journal = Some(RefCell::new(JournalCollector::detached(usize::MAX)));
+                e.journal = Some(RefCell::new(Sink::detached(usize::MAX)));
             }
             if obs_on && e.obs_buf.is_none() {
                 e.obs_buf = Some(Vec::new());
@@ -1265,63 +1248,15 @@ impl ShardedEngine {
         self.crit_ns += crit.load(Ordering::SeqCst);
     }
 
-    /// Merge per-shard trace/span/observer buffers into the attached
+    /// Merge per-shard span/journal/observer buffers into the attached
     /// handles, in deterministic order.
     fn drain_sinks(&mut self) {
         let single = self.engines.len() == 1;
-        if let Some(handle) = &self.trace {
-            let mut all: Vec<(u64, u64, u32, Packet)> = Vec::new();
-            for e in &mut self.engines {
-                if let Some(buf) = &mut e.trace_buf {
-                    let shard = e.shard;
-                    all.extend(buf.drain(..).map(|(t, k, p)| (t, k, shard, p)));
-                }
-            }
-            if !single {
-                all.sort_by_key(|a| (a.0, a.1, a.2));
-            }
-            let mut tr = handle.borrow_mut();
-            for (t, _, _, p) in &all {
-                tr.record(SimTime(*t), p);
-            }
-        }
         if let Some(handle) = &self.spans {
-            let mut all: Vec<SpanEvent> = Vec::new();
-            for e in &mut self.engines {
-                if let Some(col) = &e.spans {
-                    all.append(&mut col.borrow_mut().take_events());
-                }
-            }
-            if !single {
-                // Span events carry no key; sort on all fields (exact
-                // duplicates are interchangeable, so this is still a
-                // shard-count-invariant order). Single-shard runs keep
-                // emission order — bit-exact with the sequential engine.
-                all.sort_by_key(|e| (e.time, e.trace.0, e.node.0, e.phase));
-            }
-            let mut sp = handle.borrow_mut();
-            for e in &all {
-                sp.record(e.time, e.trace, e.node, e.phase);
-            }
+            merge_sink(handle, self.engines.iter().map(|e| &e.spans), single);
         }
         if let Some(handle) = &self.journal {
-            let mut all: Vec<JournalRecord> = Vec::new();
-            for e in &mut self.engines {
-                if let Some(col) = &e.journal {
-                    all.append(&mut col.borrow_mut().take_records());
-                }
-            }
-            if !single {
-                // Journal records carry no key; sort on all fields (exact
-                // duplicates are interchangeable, so this order is still
-                // shard-count-invariant). Single-shard runs keep emission
-                // order — bit-exact with the sequential engine.
-                all.sort();
-            }
-            let mut j = handle.borrow_mut();
-            for r in &all {
-                j.record(*r);
-            }
+            merge_sink(handle, self.engines.iter().map(|e| &e.journal), single);
         }
         if !self.observers.is_empty() {
             let mut all: Vec<(u64, u64, u32, OwnedNetEvent)> = Vec::new();
@@ -1381,6 +1316,29 @@ impl ShardedEngine {
         }
         self.drain_sinks();
         self.now
+    }
+}
+
+/// Move every shard core's records into `handle`, which enforces its own
+/// capacity. Records carry no event key, so a multi-shard merge sorts on
+/// all fields: exact duplicates are interchangeable, so that order is
+/// still shard-count-invariant. A single-shard run keeps emission order,
+/// bit-exact with the sequential engine.
+fn merge_sink<'a, T: Ord + 'a>(
+    handle: &SinkHandle<T>,
+    cores: impl Iterator<Item = &'a Option<RefCell<Sink<T>>>>,
+    single: bool,
+) {
+    let mut all: Vec<T> = Vec::new();
+    for core in cores.flatten() {
+        all.append(&mut core.borrow_mut().take());
+    }
+    if !single {
+        all.sort();
+    }
+    let mut sink = handle.borrow_mut();
+    for r in all {
+        sink.record(r);
     }
 }
 

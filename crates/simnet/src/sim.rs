@@ -14,7 +14,6 @@
 //! buffers are pooled. See DESIGN.md's "Performance model" for the
 //! measurements behind these choices.
 
-use crate::capture::CaptureHandle;
 use crate::ctx::{Command, Ctx, GroupId};
 use crate::events::{EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultSchedule, LinkOverlay};
@@ -25,7 +24,6 @@ use crate::span::SpanHandle;
 use crate::stats::{DropReason, NetStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::TraceHandle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -76,10 +74,8 @@ pub struct Simulator {
     started: bool,
     events_processed: u64,
     peak_queue_depth: usize,
-    trace: Option<TraceHandle>,
     spans: Option<SpanHandle>,
     journal: Option<JournalHandle>,
-    capture: Option<CaptureHandle>,
     observers: Vec<ObserverHandle>,
     wire_check: bool,
     /// Pooled command buffer reused across dispatches.
@@ -103,10 +99,8 @@ impl Simulator {
             started: false,
             events_processed: 0,
             peak_queue_depth: 0,
-            trace: None,
             spans: None,
             journal: None,
-            capture: None,
             observers: Vec::new(),
             wire_check: false,
             cmd_scratch: Vec::new(),
@@ -123,68 +117,26 @@ impl Simulator {
         self.wire_check = on;
     }
 
-    /// Attach a packet trace: every delivered frame is recorded into it.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Attach an ingress capture tap: every externally [`Simulator::inject`]ed
-    /// packet is recorded (scheduled time + clone). Strictly passive,
-    /// like the trace/span/journal collectors — attaching it never
-    /// changes the event order or the RNG stream.
-    pub fn set_capture(&mut self, capture: CaptureHandle) {
-        self.capture = Some(capture);
-    }
-
-    /// Detach the capture tap.
-    pub fn clear_capture(&mut self) {
-        self.capture = None;
-    }
-
-    /// The attached capture tap, if any.
-    pub fn capture(&self) -> Option<&CaptureHandle> {
-        self.capture.as_ref()
-    }
-
     /// Attach a span collector: [`Ctx::span`] markers emitted by nodes
-    /// are recorded into it. Like the packet trace and observers this is
-    /// strictly passive — attaching it never changes the event order or
-    /// the RNG stream (`tests/determinism.rs` pins this).
+    /// are recorded into it. Like observers this is strictly passive —
+    /// attaching it never changes the event order or the RNG stream
+    /// (`tests/determinism.rs` pins this).
     pub fn set_spans(&mut self, spans: SpanHandle) {
         self.spans = Some(spans);
     }
 
-    /// Detach the span collector (span emission becomes a no-op again).
-    pub fn clear_spans(&mut self) {
-        self.spans = None;
-    }
-
-    /// The attached span collector, if any.
-    pub fn spans(&self) -> Option<&SpanHandle> {
-        self.spans.as_ref()
-    }
-
     /// Attach a journal collector: [`Ctx::journal`] records emitted by
     /// nodes are recorded into it. Strictly passive, exactly like the
-    /// span collector — attaching it never changes the event order or
-    /// the RNG stream (`tests/determinism.rs` pins this).
+    /// span collector.
     pub fn set_journal(&mut self, journal: JournalHandle) {
         self.journal = Some(journal);
     }
 
-    /// Detach the journal collector (journal emission becomes a no-op).
-    pub fn clear_journal(&mut self) {
-        self.journal = None;
-    }
-
-    /// The attached journal collector, if any.
-    pub fn journal(&self) -> Option<&JournalHandle> {
-        self.journal.as_ref()
-    }
-
-    /// Attach a passive observer notified of deliveries and fault-plane
-    /// transitions. Observers cannot influence the run; attaching one
-    /// never changes the event order or RNG stream.
+    /// Attach a passive observer notified of injections, deliveries and
+    /// fault-plane transitions — an oracle, a packet
+    /// [`crate::trace::Trace`] or a [`crate::capture::CaptureBuffer`].
+    /// Observers cannot influence the run; attaching one never changes
+    /// the event order or RNG stream.
     pub fn add_observer(&mut self, obs: ObserverHandle) {
         self.observers.push(obs);
     }
@@ -288,8 +240,8 @@ impl Simulator {
     /// bypassing links. Used to inject external (ingress) traffic.
     pub fn inject(&mut self, t: SimTime, pkt: Packet) {
         assert!(t >= self.now, "cannot inject into the past");
-        if let Some(cap) = &self.capture {
-            cap.borrow_mut().record(t, &pkt);
+        if !self.observers.is_empty() {
+            self.notify(&NetEvent::Injected { at: t, pkt: &pkt });
         }
         let to = pkt.dst;
         self.push(
@@ -452,9 +404,6 @@ impl Simulator {
                                 }
                             }
                             assert_eq!(reparsed, pkt, "codec round-trip drift");
-                        }
-                        if let Some(trace) = &self.trace {
-                            trace.borrow_mut().record(self.now, &pkt);
                         }
                         if !self.observers.is_empty() {
                             self.notify(&NetEvent::Delivered { to, pkt: &pkt });

@@ -1,12 +1,10 @@
 //! Causal span telemetry: a bounded collector of phase markers that
 //! cross-switch protocol layers emit against a [`TraceId`].
 //!
-//! Sits beside the packet [`crate::trace::Trace`] tap and the
-//! [`crate::observe::NetObserver`] hook and obeys the same passivity
-//! contract: the collector is written to, never read, during a run; it
-//! holds no RNG, schedules no events, and every marker is stamped with
-//! `SimTime` only — so attaching or detaching it cannot perturb the
-//! engine's `(time, seq)` event order or its RNG stream. The determinism
+//! The collector is a [`Sink`] fed through [`crate::ctx::Ctx::span`] and
+//! obeys the sink passivity contract: every marker is stamped with
+//! `SimTime` only, so attaching it cannot perturb the engine's
+//! `(time, seq)` event order or its RNG stream. The determinism
 //! fingerprint test (`tests/determinism.rs`) proves this bit-for-bit.
 //!
 //! A *span* here is a point marker, not an interval: one logical
@@ -18,9 +16,8 @@
 //! lets `trace_explain` reconcile its breakdown against the
 //! `write_latency` histogram with zero slack.
 
+use crate::sink::{Sink, SinkHandle};
 use crate::time::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 use swishmem_wire::{NodeId, TraceId};
 
 /// A phase marker within a logical operation's lifetime.
@@ -93,8 +90,9 @@ impl SpanPhase {
     }
 }
 
-/// One recorded marker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One recorded marker. The derived order (time, trace, node, phase) is
+/// the sharded engine's deterministic merge order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanEvent {
     /// When the phase happened, in simulated time. May lie slightly in
     /// the future of the emitting callback (the PISA CP queue model emits
@@ -109,73 +107,18 @@ pub struct SpanEvent {
     pub phase: SpanPhase,
 }
 
-/// A bounded in-memory span collector.
-///
-/// Mirrors [`crate::trace::Trace`]: at most `capacity` events are kept,
-/// later ones are counted in `overflowed()` and discarded, so long runs
-/// stay bounded.
-#[derive(Debug)]
-pub struct SpanCollector {
-    events: Vec<SpanEvent>,
-    capacity: usize,
-    dropped: u64,
-}
+/// A bounded in-memory span collector (see [`Sink`] for the overflow
+/// rule). Untraced markers ([`TraceId::NONE`]) never reach it: the `Ctx`
+/// helpers filter them.
+pub type SpanCollector = Sink<SpanEvent>;
 
 /// Shared handle to a [`SpanCollector`] (the simulator holds one side).
-pub type SpanHandle = Rc<RefCell<SpanCollector>>;
+pub type SpanHandle = SinkHandle<SpanEvent>;
 
 impl SpanCollector {
-    /// A collector keeping at most `capacity` events.
-    pub fn new(capacity: usize) -> SpanHandle {
-        Rc::new(RefCell::new(SpanCollector::detached(capacity)))
-    }
-
-    /// An owned (non-shared) collector. The sharded engine gives each
-    /// shard core one of these; their contents are merged into the
-    /// attached [`SpanHandle`] after each run.
-    pub fn detached(capacity: usize) -> SpanCollector {
-        SpanCollector {
-            events: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Take all recorded events out of the collector, leaving it empty
-    /// (the overflow counter is reset too).
-    pub fn take_events(&mut self) -> Vec<SpanEvent> {
-        self.dropped = 0;
-        std::mem::take(&mut self.events)
-    }
-
-    /// Record one marker. Untraced markers ([`TraceId::NONE`]) are the
-    /// caller's responsibility to filter (the `Ctx` helpers do).
-    pub fn record(&mut self, time: SimTime, trace: TraceId, node: NodeId, phase: SpanPhase) {
-        if self.events.len() < self.capacity {
-            self.events.push(SpanEvent {
-                time,
-                trace,
-                node,
-                phase,
-            });
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// All recorded events, in emission order.
-    pub fn events(&self) -> &[SpanEvent] {
-        &self.events
-    }
-
-    /// Events not recorded because the collector was full.
-    pub fn overflowed(&self) -> u64 {
-        self.dropped
-    }
-
     /// Number of distinct trace ids recorded.
     pub fn trace_count(&self) -> usize {
-        let mut ids: Vec<u64> = self.events.iter().map(|e| e.trace.0).collect();
+        let mut ids: Vec<u64> = self.entries().iter().map(|e| e.trace.0).collect();
         ids.sort_unstable();
         ids.dedup();
         ids.len()
@@ -184,19 +127,13 @@ impl SpanCollector {
     /// Events of one trace, sorted by time (ties keep emission order).
     pub fn by_trace(&self, trace: TraceId) -> Vec<SpanEvent> {
         let mut out: Vec<SpanEvent> = self
-            .events
+            .entries()
             .iter()
             .copied()
             .filter(|e| e.trace == trace)
             .collect();
         out.sort_by_key(|e| e.time);
         out
-    }
-
-    /// Clear all events and the overflow counter.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
     }
 }
 
@@ -205,25 +142,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_filters_and_bounds() {
+    fn records_and_filters() {
         let h = SpanCollector::new(3);
         let mut c = h.borrow_mut();
         let t1 = TraceId::new(NodeId(0), 1);
         let t2 = TraceId::new(NodeId(1), 1);
-        c.record(SimTime(5), t1, NodeId(0), SpanPhase::Punt);
-        c.record(SimTime(1), t1, NodeId(0), SpanPhase::Ingress);
-        c.record(SimTime(2), t2, NodeId(1), SpanPhase::Ingress);
-        c.record(SimTime(9), t2, NodeId(1), SpanPhase::Release);
-        assert_eq!(c.events().len(), 3);
-        assert_eq!(c.overflowed(), 1);
+        let ev = |t, trace, node, phase| SpanEvent {
+            time: SimTime(t),
+            trace,
+            node: NodeId(node),
+            phase,
+        };
+        c.record(ev(5, t1, 0, SpanPhase::Punt));
+        c.record(ev(1, t1, 0, SpanPhase::Ingress));
+        c.record(ev(2, t2, 1, SpanPhase::Ingress));
         assert_eq!(c.trace_count(), 2);
         // by_trace sorts by time even when emission order differed.
         let t1_events = c.by_trace(t1);
         assert_eq!(t1_events[0].phase, SpanPhase::Ingress);
         assert_eq!(t1_events[1].phase, SpanPhase::Punt);
-        c.clear();
-        assert!(c.events().is_empty());
-        assert_eq!(c.overflowed(), 0);
     }
 
     #[test]

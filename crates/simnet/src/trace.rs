@@ -1,12 +1,13 @@
 //! Packet tracing: an optional tap that records delivered frames for
 //! offline inspection — the smoltcp `--pcap` idiom adapted to the
-//! simulator. Traces render as human-readable text and can be filtered
-//! by traffic class or endpoint.
+//! simulator. A [`Trace`] is a [`NetObserver`]: attach its handle with
+//! `add_observer` on either engine. Traces render as human-readable text
+//! and can be filtered by traffic class or endpoint.
 
+use crate::observe::{NetEvent, NetObserver};
+use crate::sink::{Sink, SinkHandle};
 use crate::stats::TrafficClass;
 use crate::time::SimTime;
-use std::cell::RefCell;
-use std::rc::Rc;
 use swishmem_wire::{NodeId, Packet};
 
 /// One traced delivery.
@@ -18,53 +19,28 @@ pub struct TraceEntry {
     pub pkt: Packet,
 }
 
-/// A bounded in-memory packet trace.
-#[derive(Debug)]
-pub struct Trace {
-    entries: Vec<TraceEntry>,
-    capacity: usize,
-    dropped: u64,
-}
+/// A bounded in-memory packet trace (see [`Sink`] for the overflow rule).
+pub type Trace = Sink<TraceEntry>;
 
-/// Shared handle to a [`Trace`] (the simulator holds one side).
-pub type TraceHandle = Rc<RefCell<Trace>>;
+/// Shared handle to a [`Trace`]; attach it with `add_observer`.
+pub type TraceHandle = SinkHandle<TraceEntry>;
 
-impl Trace {
-    /// A trace keeping at most `capacity` entries (older entries are
-    /// counted but discarded once full — bounded memory for long runs).
-    pub fn new(capacity: usize) -> TraceHandle {
-        Rc::new(RefCell::new(Trace {
-            entries: Vec::new(),
-            capacity,
-            dropped: 0,
-        }))
-    }
-
-    /// Record a delivery.
-    pub fn record(&mut self, time: SimTime, pkt: &Packet) {
-        if self.entries.len() < self.capacity {
-            self.entries.push(TraceEntry {
-                time,
-                pkt: pkt.clone(),
+/// The trace records every [`NetEvent::Delivered`] frame.
+impl NetObserver for Trace {
+    fn on_net_event(&mut self, now: SimTime, ev: &NetEvent<'_>) {
+        if let NetEvent::Delivered { pkt, .. } = ev {
+            self.record(TraceEntry {
+                time: now,
+                pkt: (*pkt).clone(),
             });
-        } else {
-            self.dropped += 1;
         }
     }
+}
 
-    /// All recorded entries.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
-    }
-
-    /// Entries not recorded because the trace was full.
-    pub fn overflowed(&self) -> u64 {
-        self.dropped
-    }
-
+impl Trace {
     /// Entries matching a traffic class.
     pub fn by_class(&self, class: TrafficClass) -> Vec<&TraceEntry> {
-        self.entries
+        self.entries()
             .iter()
             .filter(|e| TrafficClass::of(&e.pkt) == class)
             .collect()
@@ -72,7 +48,7 @@ impl Trace {
 
     /// Entries to or from a node.
     pub fn by_endpoint(&self, node: NodeId) -> Vec<&TraceEntry> {
-        self.entries
+        self.entries()
             .iter()
             .filter(|e| e.pkt.src == node || e.pkt.dst == node)
             .collect()
@@ -81,7 +57,7 @@ impl Trace {
     /// Render as text, one line per frame (tcpdump-style).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for e in &self.entries {
+        for e in self.entries() {
             out.push_str(&format!(
                 "{} {} -> {} [{}] {} B {:?}\n",
                 e.time,
@@ -92,19 +68,13 @@ impl Trace {
                 short(&e.pkt),
             ));
         }
-        if self.dropped > 0 {
+        if self.overflowed() > 0 {
             out.push_str(&format!(
                 "... {} more frames not recorded (trace full)\n",
-                self.dropped
+                self.overflowed()
             ));
         }
         out
-    }
-
-    /// Clear the trace.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.dropped = 0;
     }
 }
 
@@ -150,14 +120,21 @@ mod tests {
         )
     }
 
+    fn entry(t: u64, pkt: Packet) -> TraceEntry {
+        TraceEntry {
+            time: SimTime(t),
+            pkt,
+        }
+    }
+
     #[test]
     fn records_and_filters() {
         let h = Trace::new(10);
         let mut t = h.borrow_mut();
-        t.record(SimTime(1), &data(0, 1));
-        t.record(
-            SimTime(2),
-            &Packet::swish(
+        t.record(entry(1, data(0, 1)));
+        t.record(entry(
+            2,
+            Packet::swish(
                 NodeId(2),
                 NodeId::CONTROLLER,
                 SwishMsg::Heartbeat(Heartbeat {
@@ -165,7 +142,7 @@ mod tests {
                     epoch: 1,
                 }),
             ),
-        );
+        ));
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.by_class(TrafficClass::Data).len(), 1);
         assert_eq!(t.by_class(TrafficClass::Management).len(), 1);
@@ -173,30 +150,17 @@ mod tests {
         assert_eq!(t.by_endpoint(NodeId(2)).len(), 1);
     }
 
-    #[test]
-    fn capacity_bounds_memory() {
-        let h = Trace::new(2);
-        let mut t = h.borrow_mut();
-        for i in 0..5 {
-            t.record(SimTime(i), &data(0, 1));
-        }
-        assert_eq!(t.entries().len(), 2);
-        assert_eq!(t.overflowed(), 3);
-        let text = t.render();
-        assert!(text.contains("3 more frames"));
-        t.clear();
-        assert!(t.entries().is_empty());
-        assert_eq!(t.overflowed(), 0);
-    }
-
     /// End-to-end drop accounting: when a live engine delivers more
     /// frames than the trace capacity, every delivery is either recorded
-    /// or counted as overflow — none vanish.
+    /// or counted as overflow — none vanish. Holds on the sequential
+    /// engine and on a 2-shard engine, whose observer events reach the
+    /// trace at merge time.
     #[test]
     fn engine_overflow_accounts_for_every_delivery() {
         use crate::ctx::Ctx;
         use crate::link::LinkParams;
         use crate::node::Node;
+        use crate::shard::ShardedEngine;
         use crate::sim::Simulator;
         use swishmem_wire::PacketBody;
 
@@ -213,31 +177,47 @@ mod tests {
             }
         }
 
+        fn check(trace: &TraceHandle, delivered: u64) {
+            let t = trace.borrow();
+            assert!(delivered > 4, "scenario must exceed trace capacity");
+            assert_eq!(t.entries().len(), 4);
+            assert_eq!(t.entries().len() as u64 + t.overflowed(), delivered);
+        }
+
         let mut sim = Simulator::new(7);
         let trace = Trace::new(4);
-        sim.set_trace(trace.clone());
+        sim.add_observer(trace.clone());
         sim.add_node(NodeId(0), Box::new(Echo));
         sim.add_node(NodeId(1), Box::new(Echo));
         sim.topology_mut()
             .connect(NodeId(0), NodeId(1), LinkParams::datacenter());
         sim.inject(SimTime(0), data(0, 1));
         sim.run_until_quiescent(SimTime(1_000_000_000));
+        check(&trace, sim.stats().delivered_total().packets);
 
-        let delivered = sim.stats().delivered_total().packets;
-        let t = trace.borrow();
-        assert!(delivered > 4, "scenario must exceed trace capacity");
-        assert_eq!(t.entries().len(), 4);
-        assert_eq!(t.entries().len() as u64 + t.overflowed(), delivered);
+        let mut eng = ShardedEngine::new(7, 2);
+        let trace = Trace::new(4);
+        eng.add_observer(trace.clone());
+        eng.add_node(NodeId(0), Box::new(Echo));
+        eng.add_node(NodeId(1), Box::new(Echo));
+        eng.topology_mut()
+            .connect(NodeId(0), NodeId(1), LinkParams::datacenter());
+        eng.inject(SimTime(0), data(0, 1));
+        eng.run_until_quiescent(SimTime(1_000_000_000));
+        assert_eq!(eng.shards(), 2);
+        check(&trace, eng.stats().delivered_total().packets);
     }
 
     #[test]
     fn render_is_line_per_frame() {
-        let h = Trace::new(10);
+        let h = Trace::new(1);
         let mut t = h.borrow_mut();
-        t.record(SimTime(1_000), &data(3, 4));
+        t.record(entry(1_000, data(3, 4)));
+        t.record(entry(2_000, data(3, 4)));
         let text = t.render();
         assert!(text.contains("n3 -> n4"));
         assert!(text.contains("[data]"));
         assert!(text.contains("1.1.1.1:1 -> 2.2.2.2:2"));
+        assert!(text.contains("1 more frames"));
     }
 }

@@ -25,8 +25,9 @@
 
 use std::net::Ipv4Addr;
 use swishmem_simnet::{
-    Ctx, DropReason, FaultGen, FaultSchedule, GroupId, JournalCollector, JournalHandle, LinkParams,
-    Node, SimDuration, SimTime, Simulator, SpanCollector, SpanHandle, SpanPhase, Trace,
+    CaptureBuffer, CaptureHandle, Ctx, DropReason, FaultGen, FaultSchedule, GroupId,
+    JournalCollector, JournalHandle, LinkParams, Node, SimDuration, SimTime, Simulator,
+    SpanCollector, SpanHandle, SpanPhase, Trace,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, TraceId};
 
@@ -115,11 +116,11 @@ fn fnv(h: &mut u64, v: u64) {
 }
 
 fn run_scenario(seed: u64) -> Fingerprint {
-    run_scenario_full(seed, None, None, None)
+    run_scenario_full(seed, None, None, None, None)
 }
 
 fn run_scenario_with(seed: u64, faults: Option<&FaultSchedule>) -> Fingerprint {
-    run_scenario_full(seed, faults, None, None)
+    run_scenario_full(seed, faults, None, None, None)
 }
 
 fn run_scenario_full(
@@ -127,10 +128,14 @@ fn run_scenario_full(
     faults: Option<&FaultSchedule>,
     spans: Option<SpanHandle>,
     journal: Option<JournalHandle>,
+    capture: Option<CaptureHandle>,
 ) -> Fingerprint {
     let mut sim = Simulator::new(seed);
     let trace = Trace::new(200_000);
-    sim.set_trace(trace.clone());
+    sim.add_observer(trace.clone());
+    if let Some(c) = capture {
+        sim.add_observer(c);
+    }
     if let Some(s) = spans {
         sim.set_spans(s);
     }
@@ -296,7 +301,7 @@ fn empty_fault_schedule_is_a_no_op() {
 #[test]
 fn span_collector_attach_is_invisible() {
     let spans = SpanCollector::new(1_000_000);
-    let attached = run_scenario_full(1234, None, Some(spans.clone()), None);
+    let attached = run_scenario_full(1234, None, Some(spans.clone()), None, None);
     let detached = run_scenario(1234);
     assert_eq!(
         attached, detached,
@@ -305,13 +310,13 @@ fn span_collector_attach_is_invisible() {
 
     let c = spans.borrow();
     assert!(
-        !c.events().is_empty(),
+        !c.entries().is_empty(),
         "the scenario should have recorded spans while attached"
     );
     assert_eq!(c.overflowed(), 0);
     // Every delivered data packet records exactly one ingress marker.
     let ingress = c
-        .events()
+        .entries()
         .iter()
         .filter(|e| e.phase == SpanPhase::Ingress)
         .count() as u64;
@@ -324,11 +329,32 @@ fn span_collector_attach_is_invisible() {
 #[test]
 fn span_collector_overflow_is_counted_and_passive() {
     let spans = SpanCollector::new(16);
-    let attached = run_scenario_full(1234, None, Some(spans.clone()), None);
+    let attached = run_scenario_full(1234, None, Some(spans.clone()), None, None);
     assert_eq!(attached, run_scenario(1234));
     let c = spans.borrow();
-    assert_eq!(c.events().len(), 16);
+    assert_eq!(c.entries().len(), 16);
     assert!(c.overflowed() > 0);
+}
+
+/// Attaching the ingress capture — a second observer beside the packet
+/// trace — must be invisible to the run, and must tape every injection
+/// with its scheduled time, in injection order.
+#[test]
+fn capture_attach_is_invisible() {
+    let capture = CaptureBuffer::new(1_000);
+    let attached = run_scenario_full(1234, None, None, None, Some(capture.clone()));
+    assert_eq!(
+        attached,
+        run_scenario(1234),
+        "attaching the capture perturbed the event order"
+    );
+    let c = capture.borrow();
+    assert_eq!(c.len(), 200, "one record per injected packet");
+    assert_eq!(c.overflowed(), 0);
+    for (i, (t, pkt)) in c.entries().iter().enumerate() {
+        assert_eq!(t.nanos(), i as u64 * 7_000);
+        assert_eq!(pkt.dst, NodeId(((i + 1) % 5) as u16));
+    }
 }
 
 /// Attaching the flight-recorder journal must be invisible to the run:
@@ -339,7 +365,7 @@ fn span_collector_overflow_is_counted_and_passive() {
 #[test]
 fn journal_collector_attach_is_invisible() {
     let journal = JournalCollector::new(1_000_000);
-    let attached = run_scenario_full(1234, None, None, Some(journal.clone()));
+    let attached = run_scenario_full(1234, None, None, Some(journal.clone()), None);
     let detached = run_scenario(1234);
     assert_eq!(
         attached, detached,
@@ -348,12 +374,12 @@ fn journal_collector_attach_is_invisible() {
 
     let j = journal.borrow();
     assert!(
-        !j.records().is_empty(),
+        !j.entries().is_empty(),
         "the scenario should have recorded journal entries while attached"
     );
     assert_eq!(j.overflowed(), 0);
     // Every delivered data packet records exactly one kind-1 entry.
-    let ingress = j.records().iter().filter(|r| r.kind == 1).count() as u64;
+    let ingress = j.entries().iter().filter(|r| r.kind == 1).count() as u64;
     assert_eq!(ingress, attached.delivered_pkts);
 }
 
@@ -371,8 +397,8 @@ fn journal_replay_is_byte_identical_under_fault_sweep() {
 
     let run = || {
         let journal = JournalCollector::new(1_000_000);
-        let fp = run_scenario_full(1234, Some(&sched), None, Some(journal.clone()));
-        let records = journal.borrow().records().to_vec();
+        let fp = run_scenario_full(1234, Some(&sched), None, Some(journal.clone()), None);
+        let records = journal.borrow().entries().to_vec();
         (fp, records)
     };
     let (fp_a, rec_a) = run();
@@ -392,9 +418,9 @@ fn journal_replay_is_byte_identical_under_fault_sweep() {
 #[test]
 fn journal_collector_overflow_is_counted_and_passive() {
     let journal = JournalCollector::new(16);
-    let attached = run_scenario_full(1234, None, None, Some(journal.clone()));
+    let attached = run_scenario_full(1234, None, None, Some(journal.clone()), None);
     assert_eq!(attached, run_scenario(1234));
     let j = journal.borrow();
-    assert_eq!(j.records().len(), 16);
+    assert_eq!(j.entries().len(), 16);
     assert!(j.overflowed() > 0);
 }

@@ -17,9 +17,9 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 use swishmem_simnet::{
-    Ctx, DropReason, FaultGen, FaultSchedule, GroupId, JournalCollector, JournalHandle,
-    JournalRecord, LinkParams, NetEvent, NetObserver, Node, RelayNode, ShardedEngine, SimDuration,
-    SimTime, Simulator, Trace,
+    CaptureBuffer, CaptureHandle, Ctx, DropReason, FaultGen, FaultSchedule, GroupId,
+    JournalCollector, JournalHandle, JournalRecord, LinkParams, NetEvent, NetObserver, Node,
+    RelayNode, ShardedEngine, SimDuration, SimTime, Simulator, Trace,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody};
 
@@ -114,6 +114,7 @@ fn trace_hash(trace: &Trace) -> u64 {
 /// Flattened observer log, comparable across runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Obs {
+    Injected(u64, u64, u16),
     Delivered(u64, u16, u16, u16, usize),
     NodeFailed(u64, u16),
     NodeRecovered(u64, u16),
@@ -131,6 +132,7 @@ impl NetObserver for Collector {
     fn on_net_event(&mut self, now: SimTime, ev: &NetEvent<'_>) {
         let t = now.nanos();
         self.log.push(match *ev {
+            NetEvent::Injected { at, pkt } => Obs::Injected(t, at.nanos(), pkt.dst.0),
             NetEvent::Delivered { to, pkt } => {
                 Obs::Delivered(t, to.0, pkt.src.0, pkt.dst.0, pkt.wire_len())
             }
@@ -154,7 +156,7 @@ enum EngineUnderTest {
 }
 
 fn run_churn(seed: u64, engine: EngineUnderTest, faults: Option<&FaultSchedule>) -> Fingerprint {
-    run_churn_full(seed, engine, faults, None)
+    run_churn_full(seed, engine, faults, None, None)
 }
 
 fn run_churn_full(
@@ -162,6 +164,7 @@ fn run_churn_full(
     engine: EngineUnderTest,
     faults: Option<&FaultSchedule>,
     journal: Option<JournalHandle>,
+    capture: Option<CaptureHandle>,
 ) -> Fingerprint {
     let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
     let trace = Trace::new(200_000);
@@ -193,7 +196,10 @@ fn run_churn_full(
     match engine {
         EngineUnderTest::Legacy => {
             let mut sim = Simulator::new(seed);
-            sim.set_trace(trace.clone());
+            sim.add_observer(trace.clone());
+            if let Some(c) = capture {
+                sim.add_observer(c);
+            }
             if let Some(j) = journal {
                 sim.set_journal(j);
             }
@@ -234,7 +240,10 @@ fn run_churn_full(
         }
         EngineUnderTest::Sharded(shards) => {
             let mut sim = ShardedEngine::new(seed, shards);
-            sim.set_trace(trace.clone());
+            sim.add_observer(trace.clone());
+            if let Some(c) = capture {
+                sim.add_observer(c);
+            }
             if let Some(j) = journal {
                 sim.set_journal(j);
             }
@@ -328,6 +337,7 @@ fn single_shard_journal_attach_matches_golden_fingerprint() {
         EngineUnderTest::Sharded(1),
         None,
         Some(journal.clone()),
+        None,
     );
     let detached = run_churn(1234, EngineUnderTest::Sharded(1), None);
     assert_eq!(
@@ -336,10 +346,49 @@ fn single_shard_journal_attach_matches_golden_fingerprint() {
     );
     assert_eq!(attached.trace_hash, 11_977_170_304_909_245_025);
     let j = journal.borrow();
-    assert!(!j.records().is_empty());
+    assert!(!j.entries().is_empty());
     assert_eq!(j.overflowed(), 0);
-    let ingress = j.records().iter().filter(|r| r.kind == 1).count() as u64;
+    let ingress = j.entries().iter().filter(|r| r.kind == 1).count() as u64;
     assert_eq!(ingress, attached.delivered_pkts);
+}
+
+/// Attaching the ingress capture to a single-shard run must be
+/// invisible: the golden fingerprint must not move by a bit.
+#[test]
+fn single_shard_capture_attach_matches_golden_fingerprint() {
+    let capture = CaptureBuffer::new(1_000);
+    let attached = run_churn_full(
+        1234,
+        EngineUnderTest::Sharded(1),
+        None,
+        None,
+        Some(capture.clone()),
+    );
+    assert_eq!(
+        attached,
+        run_churn(1234, EngineUnderTest::Sharded(1), None),
+        "attaching the capture perturbed the single-shard run"
+    );
+    assert_eq!(attached.trace_hash, 11_977_170_304_909_245_025);
+    assert_eq!(capture.borrow().len(), 200);
+}
+
+/// One injected schedule tapes identical `(time, packet)` records on the
+/// sequential engine and on the sharded engine at S = 1 and S = 2: the
+/// capture sees `inject` calls, not the shard partition.
+#[test]
+fn capture_is_identical_across_engines() {
+    let taped = |engine: EngineUnderTest| -> Vec<(SimTime, Packet)> {
+        let capture = CaptureBuffer::new(1_000);
+        run_churn_full(1234, engine, None, None, Some(capture.clone()));
+        let c = capture.borrow();
+        assert_eq!(c.overflowed(), 0);
+        c.entries().to_vec()
+    };
+    let legacy = taped(EngineUnderTest::Legacy);
+    assert_eq!(legacy.len(), 200);
+    assert_eq!(legacy, taped(EngineUnderTest::Sharded(1)), "S=1 diverged");
+    assert_eq!(legacy, taped(EngineUnderTest::Sharded(2)), "S=2 diverged");
 }
 
 /// The journal record stream is shard-count invariant for S >= 2 (like
@@ -357,8 +406,9 @@ fn journal_is_shard_count_invariant() {
             EngineUnderTest::Sharded(shards),
             None,
             Some(journal.clone()),
+            None,
         );
-        let mut recs = journal.borrow().records().to_vec();
+        let mut recs = journal.borrow().entries().to_vec();
         // Multi-shard drains merge per-shard sinks in full-field order;
         // sort both streams to that canonical order before comparing.
         recs.sort();
@@ -409,7 +459,7 @@ fn run_leaf_spine(
     let mut sim = ShardedEngine::new(seed, shards);
     sim.set_workers(workers);
     let trace = Trace::new(500_000);
-    sim.set_trace(trace.clone());
+    sim.add_observer(trace.clone());
     let collector = Rc::new(RefCell::new(Collector::default()));
     sim.add_observer(collector.clone());
 

@@ -86,7 +86,7 @@ fn main() {
         .hosts(1)
         .register(RegisterSpec::sro(0, "seq", 4))
         .build(|_| Box::new(Sequencer));
-    dep.sim.set_trace(trace.clone());
+    dep.sim.add_observer(trace.clone());
     dep.settle();
     trace.borrow_mut().clear();
     let t = dep.now();

@@ -71,7 +71,7 @@ fn reconfig_disabled_is_invisible_without_partitioned_registers() {
         dep.run_for(SimDuration::millis(30));
         let span_log: Vec<String> = spans
             .borrow()
-            .events()
+            .entries()
             .iter()
             .map(|e| format!("{:?} {:?} {} {:?}", e.time, e.trace, e.node, e.phase))
             .collect();
