@@ -3,9 +3,13 @@
 //!
 //! Usage: `experiments [--quick] [--json PATH] [--list] [--only ID]...
 //! [ID]...` — `--list` prints the known ids and exits; `--only e19`
-//! (repeatable) and bare positional ids both select a subset.
+//! (repeatable) and bare positional ids both select a subset. An unknown
+//! flag, or `--json`/`--only` without a value, prints the usage and exits
+//! with status 2.
 
 use swishmem_bench::experiments;
+
+const USAGE: &str = "usage: experiments [--quick] [--json PATH] [--list] [--only ID]... [ID]...";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,15 +24,16 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" | "--list" => {}
+            a @ ("--json" | "--only") if i + 1 == args.len() => {
+                usage_error(&format!("{a} needs a value"))
+            }
             "--json" => i += 1,
             "--only" => {
-                if let Some(v) = args.get(i + 1) {
-                    selected.push(v.to_lowercase());
-                }
+                selected.push(args[i + 1].to_lowercase());
                 i += 1;
             }
             a if !a.starts_with("--") => selected.push(a.to_lowercase()),
-            _ => {}
+            a => usage_error(&format!("unknown argument {a:?}")),
         }
         i += 1;
     }
@@ -75,4 +80,9 @@ fn main() {
         std::fs::write(&path, json).expect("write json");
         eprintln!("wrote {path}");
     }
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2)
 }

@@ -1,4 +1,4 @@
-//! Engine performance baseline: runs the simnet-engine and nf-pipeline
+//! Engine performance baseline: runs the engine and nf-pipeline
 //! scenarios outside criterion and records events/sec, ns/event, and
 //! peak event-queue depth so every PR has a perf trajectory to compare
 //! against.
@@ -31,11 +31,10 @@ use swishmem_bench::json::Json;
 use swishmem_bench::shardnet::{run_leaf_spine, LeafSpineSpec, ShardRunConfig};
 use swishmem_nf::{DdosConfig, DdosDetector, DdosStatsHandle};
 use swishmem_replay::{replay_trace, synth_trace_bytes, ReplayConfig, SynthConfig, TraceReader};
-use swishmem_simnet::{Ctx, LinkParams, Node, Simulator};
+use swishmem_simnet::{Ctx, LinkParams, Node, ShardedEngine};
 use swishmem_wire::{DataPacket, FlowKey, Packet, PacketBody};
 
-/// Bounces packets back and forth `ttl` times (mirror of the
-/// `simnet_engine` bench workload).
+/// Bounces packets back and forth `ttl` times.
 struct Echo {
     ttl: u32,
 }
@@ -104,8 +103,8 @@ impl Measured {
 fn measure_sim(
     name: &str,
     reps: u32,
-    setup: impl Fn() -> Simulator,
-    drive: impl Fn(&mut Simulator),
+    setup: impl Fn() -> ShardedEngine,
+    drive: impl Fn(&mut ShardedEngine),
 ) -> Measured {
     let mut best: Option<Measured> = None;
     for _ in 0..reps {
@@ -134,7 +133,7 @@ fn ping_pong(reps: u32) -> Measured {
         "ping_pong_10k_events",
         reps,
         || {
-            let mut sim = Simulator::new(1);
+            let mut sim = ShardedEngine::new(1, 1);
             sim.add_node(NodeId(0), Box::new(Echo { ttl: EVENTS as u32 }));
             sim.add_node(NodeId(1), Box::new(Echo { ttl: EVENTS as u32 }));
             sim.topology_mut()
@@ -154,7 +153,7 @@ fn lossy_jittered(reps: u32) -> Measured {
         "lossy_jittered_10k_events",
         reps,
         || {
-            let mut sim = Simulator::new(7);
+            let mut sim = ShardedEngine::new(7, 1);
             sim.add_node(NodeId(0), Box::new(Echo { ttl: u32::MAX }));
             sim.add_node(NodeId(1), Box::new(Echo { ttl: u32::MAX }));
             sim.topology_mut().connect(

@@ -49,7 +49,7 @@ fn measure(state_keys: u32, period: SimDuration, window: SimDuration) -> (f64, f
     }
     dep.run_for(SimDuration::nanos(u64::from(batch) * 300) + SimDuration::millis(5));
     // Measurement window.
-    dep.sim.stats_mut().reset();
+    dep.sim.reset_stats();
     dep.run_for(window);
     let sync = dep.sim.stats().delivered(TrafficClass::EwoSync);
     let secs = window.as_secs_f64();

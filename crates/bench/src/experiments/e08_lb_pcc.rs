@@ -94,7 +94,10 @@ fn measure(shared: bool, flip: f64, fail_one: bool, quick: bool) -> Out {
         packets += 1;
     }
     dep.run_for(SimDuration::millis(150));
-    let violations: u64 = stats.iter().map(|s| s.borrow().unmapped_drops).sum();
+    let violations: u64 = stats
+        .iter()
+        .map(|s| s.lock().expect("stats lock poisoned").unmapped_drops)
+        .sum();
     Out {
         flows: flows.len() as u64,
         packets,

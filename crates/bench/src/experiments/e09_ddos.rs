@@ -93,10 +93,13 @@ fn measure(n: usize, shared: bool, quick: bool) -> Out {
         }
     }
     dep.run_for(horizon + SimDuration::millis(50));
-    let mitigated: u64 = stats.iter().map(|s| s.borrow().mitigated).sum();
+    let mitigated: u64 = stats
+        .iter()
+        .map(|s| s.lock().expect("stats lock poisoned").mitigated)
+        .sum();
     let detect = stats
         .iter()
-        .filter_map(|s| s.borrow().first_alarm_ns)
+        .filter_map(|s| s.lock().expect("stats lock poisoned").first_alarm_ns)
         .min()
         .map(|ns| ns.saturating_sub(t0.nanos() + attack_start.nanos()));
     Out {

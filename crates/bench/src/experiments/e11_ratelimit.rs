@@ -62,7 +62,10 @@ fn measure(n: usize, period: SimDuration, eager: bool, quick: bool) -> (u64, f64
         );
     }
     dep.run_until(aligned + window + SimDuration::millis(20));
-    let admitted: u64 = stats.iter().map(|s| s.borrow().admitted_bytes).sum();
+    let admitted: u64 = stats
+        .iter()
+        .map(|s| s.lock().expect("stats lock poisoned").admitted_bytes)
+        .sum();
     let excess = admitted.saturating_sub(LIMIT);
     (excess, 100.0 * excess as f64 / LIMIT as f64)
 }

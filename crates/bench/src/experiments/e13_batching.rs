@@ -29,7 +29,7 @@ fn measure(batch: usize, quick: bool) -> (f64, f64, f64) {
     let rate = 200_000.0; // write-intensive: every packet writes
     let gap = (1e9 / rate) as u64;
     let t0 = dep.now();
-    dep.sim.stats_mut().reset();
+    dep.sim.reset_stats();
     let n = dur.as_nanos() / gap;
     // All writes to rotating keys at switch 0; lag observed at switch 2.
     let mut lags = Vec::new();

@@ -1,6 +1,6 @@
 //! E18 — tracing overhead: the span-telemetry fast path must be free
 //! when no collector is attached. Two identical ping-pong simulations
-//! (the `simnet_engine` bench workload) are timed wall-clock: both
+//! (`perf_baseline`'s `ping_pong` workload) are timed wall-clock: both
 //! allocate a `TraceId` per packet (unconditional protocol work — the id
 //! rides the wire either way), but only one emits a span marker per
 //! packet into the **detached** collector slot, the layer's common-case
@@ -11,7 +11,7 @@
 use crate::table::{ExperimentResult, Table};
 use std::net::Ipv4Addr;
 use std::time::Instant;
-use swishmem_simnet::{Ctx, LinkParams, Node, NodeObj, SimTime, Simulator, SpanPhase};
+use swishmem_simnet::{Ctx, LinkParams, Node, NodeObj, ShardedEngine, SimTime, SpanPhase};
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, TraceId};
 
 /// Bounces packets back and forth `ttl` times. Allocates a `TraceId`
@@ -71,8 +71,8 @@ fn pkt() -> Packet {
     )
 }
 
-fn build(events: u64, traced: bool) -> Simulator {
-    let mut sim = Simulator::new(1);
+fn build(events: u64, traced: bool) -> ShardedEngine {
+    let mut sim = ShardedEngine::new(1, 1);
     let mk = |_: u16| -> Box<dyn NodeObj> {
         if traced {
             Box::new(TracedEcho {

@@ -16,7 +16,7 @@ use std::net::Ipv4Addr;
 use std::time::Instant;
 use swishmem::prelude::*;
 use swishmem::{CtrlEvent, Deployment, Journal, NfApp, NfDecision, RegisterSpec, SharedState};
-use swishmem_simnet::{Ctx, Node, NodeObj, Simulator};
+use swishmem_simnet::{Ctx, Node, NodeObj, ShardedEngine};
 use swishmem_wire::{Packet, PacketBody};
 
 /// Bounces packets back and forth `ttl` times, doing the unconditional
@@ -76,8 +76,8 @@ fn pkt() -> Packet {
     )
 }
 
-fn build(events: u64, journaled: bool) -> Simulator {
-    let mut sim = Simulator::new(1);
+fn build(events: u64, journaled: bool) -> ShardedEngine {
+    let mut sim = ShardedEngine::new(1, 1);
     let mk = |_: u16| -> Box<dyn NodeObj> {
         if journaled {
             Box::new(JournaledEcho {

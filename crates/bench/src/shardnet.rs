@@ -194,7 +194,7 @@ impl NetObserver for ShardOracle {
 pub struct ShardRunConfig {
     /// Fabric shape.
     pub spec: LeafSpineSpec,
-    /// Shard count (1 = legacy bit-exact mode).
+    /// Shard count (1 = the sequential algorithm).
     pub shards: usize,
     /// Worker-thread cap for the windowed loop.
     pub workers: usize,
@@ -437,7 +437,13 @@ fn run_leaf_spine_impl(
     ShardRunOutcome {
         events: sim.events_processed(),
         wall_ns,
-        crit_ns: sim.critical_path_ns(),
+        // A single shard does not time itself: its wall time is its
+        // critical path.
+        crit_ns: if sim.shards() == 1 {
+            wall_ns
+        } else {
+            sim.critical_path_ns()
+        },
         peak_queue_depth: sim.peak_queue_depth(),
         delivered_pkts: s.delivered_total().packets,
         dropped_pkts: dropped,

@@ -70,7 +70,8 @@ pub trait SharedState {
 /// Implementations must be deterministic functions of
 /// `(packet, shared state)`: the SRO read path may re-execute a packet at
 /// the chain tail and expects the same outcome given the same state.
-pub trait NfApp: 'static {
+/// `Send`, so a deployment's switches can move between engine threads.
+pub trait NfApp: Send + 'static {
     /// Process one data packet arriving from `ingress` (a host or peer).
     fn process(
         &mut self,

@@ -15,17 +15,27 @@ use crate::metrics::SwitchMetrics;
 use crate::version::SwitchClock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::rc::Rc;
+use std::sync::Arc;
 use swishmem_pisa::{DataPlane, MemoryBudget, Switch, SwitchConfig};
 use swishmem_simnet::{
-    FaultSchedule, LinkParams, ObserverHandle, RecorderNode, Recording, SimDuration, SimTime,
-    Simulator,
+    FaultSchedule, LinkParams, ObserverHandle, RecorderNode, Recording, RelayNode, ShardedEngine,
+    SimDuration, SimTime,
 };
 use swishmem_wire::swish::{Key, RegId};
 use swishmem_wire::{DataPacket, NodeId, Packet};
 
 /// The concrete switch type of a SwiShmem deployment.
 pub type SwishSwitch = Switch<SwishProgram, SwishCp>;
+
+// Every node type a deployment builds must stay `Send`, so the engine can
+// run its shards on worker threads.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<SwishSwitch>();
+    assert_send::<Controller>();
+    assert_send::<RecorderNode>();
+    assert_send::<RelayNode>();
+};
 
 /// First spine (relay) node id in leaf-spine fabrics.
 pub const SPINE_BASE: u16 = 500;
@@ -158,7 +168,7 @@ impl DeploymentBuilder {
     where
         F: Fn(NodeId) -> Box<dyn NfApp>,
     {
-        let mut sim = Simulator::new(self.seed);
+        let mut sim = ShardedEngine::new(self.seed, 1);
         let mut skew_rng = StdRng::seed_from_u64(self.seed ^ 0x5eed_cafe);
         let switch_ids: Vec<NodeId> = (0..self.n_switches as u16).map(NodeId).collect();
         // Controller replica group (DESIGN.md §12): odd size, replica 0
@@ -182,7 +192,7 @@ impl DeploymentBuilder {
 
         for &id in &switch_ids {
             let mut dp = DataPlane::new(MemoryBudget::new(self.memory));
-            let handles = Rc::new(
+            let handles = Arc::new(
                 Handles::build(&mut dp, &self.registers, &self.swish_cfg, self.n_switches)
                     .expect("register specs exceed data-plane memory"),
             );
@@ -251,13 +261,10 @@ impl DeploymentBuilder {
         }
 
         let mut hosts = Vec::with_capacity(self.n_hosts);
-        let mut recordings = Vec::with_capacity(self.n_hosts);
         for i in 0..self.n_hosts as u16 {
             let id = NodeId(HOST_BASE + i);
-            let (rec, log) = RecorderNode::new();
-            sim.add_node(id, Box::new(rec));
+            sim.add_node(id, Box::new(RecorderNode::new()));
             hosts.push(id);
-            recordings.push(log);
         }
 
         // Fabric: inter-switch connectivity per the chosen shape,
@@ -269,7 +276,7 @@ impl DeploymentBuilder {
                 let spine_ids: Vec<NodeId> =
                     (0..spines as u16).map(|i| NodeId(SPINE_BASE + i)).collect();
                 for &sp in &spine_ids {
-                    sim.add_node(sp, Box::new(swishmem_simnet::RelayNode));
+                    sim.add_node(sp, Box::new(RelayNode));
                     for &leaf in &switch_ids {
                         sim.topology_mut().connect(sp, leaf, self.link);
                     }
@@ -317,7 +324,6 @@ impl DeploymentBuilder {
             ctrls: ctrl_ids,
             n_ctrl_active: n_active,
             hosts,
-            recordings,
             cfg: self.swish_cfg,
             specs: self.registers,
             ingest_records: 0,
@@ -328,16 +334,15 @@ impl DeploymentBuilder {
 
 /// A running SwiShmem fabric.
 pub struct Deployment {
-    /// The underlying simulator (exposed for fault-injection schedules and
-    /// statistics).
-    pub sim: Simulator,
+    /// The underlying single-shard engine (exposed for fault-injection
+    /// schedules and statistics).
+    pub sim: ShardedEngine,
     switches: Vec<NodeId>,
     ctrls: Vec<NodeId>,
     /// Replicas `0..n_ctrl_active` form the initial consensus group;
     /// the rest are spares awaiting an `AddReplica` decree.
     n_ctrl_active: usize,
     hosts: Vec<NodeId>,
-    recordings: Vec<Recording>,
     cfg: SwishConfig,
     specs: Vec<RegisterSpec>,
     /// Trace records fed into the fabric by a replay engine (cumulative;
@@ -373,7 +378,10 @@ impl Deployment {
 
     /// Packets received by host `i`.
     pub fn recording(&self, i: usize) -> &Recording {
-        &self.recordings[i]
+        self.sim
+            .node::<RecorderNode>(self.hosts[i])
+            .expect("host present")
+            .log()
     }
 
     /// Inject a data packet arriving at switch `sw` from host `from` at

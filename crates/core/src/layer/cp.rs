@@ -22,7 +22,7 @@ use crate::metrics::CpMetrics;
 use crate::reconfig::RangeView;
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
+use std::sync::Arc;
 use swishmem_pisa::{ControlApp, CpCtx, RegHandle};
 use swishmem_simnet::{SimDuration, SimTime, SpanPhase};
 use swishmem_wire::swish::{
@@ -142,7 +142,7 @@ pub struct SwishCp {
     /// promoted yet: re-announce `CatchupDone` on the heartbeat tick so
     /// a leader failover cannot strand it as a learner.
     caught_up: bool,
-    handles: Rc<Handles>,
+    handles: Arc<Handles>,
     view: ChainView,
     next_job: u64,
     next_write: u64,
@@ -165,7 +165,7 @@ pub struct SwishCp {
 
 impl SwishCp {
     /// Build the control app for switch `me`.
-    pub fn new(me: NodeId, cfg: SwishConfig, controller: NodeId, handles: Rc<Handles>) -> SwishCp {
+    pub fn new(me: NodeId, cfg: SwishConfig, controller: NodeId, handles: Arc<Handles>) -> SwishCp {
         SwishCp {
             me,
             cfg,
@@ -846,7 +846,7 @@ impl ControlApp for SwishCp {
         cp.set_timer(self.cfg.heartbeat_interval, TT_HEARTBEAT);
     }
 
-    fn on_item(&mut self, item: Box<dyn Any>, cp: &mut CpCtx<'_, '_>) {
+    fn on_item(&mut self, item: Box<dyn Any + Send>, cp: &mut CpCtx<'_, '_>) {
         let Ok(item) = item.downcast::<CpItem>() else {
             return;
         };

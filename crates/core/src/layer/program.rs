@@ -11,7 +11,7 @@ use crate::config::{MergePolicy, RegisterClass, SwishConfig};
 use crate::metrics::DpMetrics;
 use crate::reconfig::{encode_ranges, RangeView};
 use crate::version::SwitchClock;
-use std::rc::Rc;
+use std::sync::Arc;
 use swishmem_pisa::{DataPlane, DataPlaneProgram, DpView, Effects, RegHandle};
 use swishmem_simnet::{SimTime, SpanPhase};
 use swishmem_wire::swish::{
@@ -25,7 +25,7 @@ pub struct SwishProgram {
     me: NodeId,
     me_slot: usize,
     cfg: SwishConfig,
-    handles: Rc<Handles>,
+    handles: Arc<Handles>,
     app: Box<dyn NfApp>,
     clock: SwitchClock,
     metrics: DpMetrics,
@@ -47,7 +47,7 @@ impl SwishProgram {
     pub fn new(
         me: NodeId,
         cfg: SwishConfig,
-        handles: Rc<Handles>,
+        handles: Arc<Handles>,
         app: Box<dyn NfApp>,
         clock: SwitchClock,
     ) -> SwishProgram {

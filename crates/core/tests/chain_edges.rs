@@ -2,7 +2,7 @@
 //! data-plane program is driven directly with crafted protocol messages
 //! and its effects inspected — no simulator in the loop.
 
-use std::rc::Rc;
+use std::sync::Arc;
 use swishmem::api::ForwardAll;
 use swishmem::layer::program::SwishProgram;
 use swishmem::layer::{write_chain_for_tests, ChainView, Handles};
@@ -21,7 +21,7 @@ fn rig(me: u16, chain: &[u16], learners: &[u16]) -> Rig {
     let cfg = SwishConfig::default();
     let mut dp = DataPlane::standard();
     let handles =
-        Rc::new(Handles::build(&mut dp, &[RegisterSpec::sro(0, "t", 64)], &cfg, 4).unwrap());
+        Arc::new(Handles::build(&mut dp, &[RegisterSpec::sro(0, "t", 64)], &cfg, 4).unwrap());
     let view = ChainView {
         epoch: 1,
         chain: chain.iter().map(|&n| NodeId(n)).collect(),

@@ -5,7 +5,7 @@
 #![allow(clippy::field_reassign_with_default)] // configs read clearer as overrides
 
 use std::net::Ipv4Addr;
-use std::rc::Rc;
+use std::sync::Arc;
 use swishmem::api::{ForwardAll, NfApp, NfDecision, SharedState};
 use swishmem::layer::program::SwishProgram;
 use swishmem::layer::{write_chain_for_tests, ChainView, Handles, SYNC_PKTGEN_TOKEN};
@@ -58,7 +58,7 @@ fn rig(me: u16, cfg: SwishConfig, counter_nf: bool) -> Rig {
 
 fn rig_with(me: u16, cfg: SwishConfig, specs: &[RegisterSpec], app: Box<dyn NfApp>) -> Rig {
     let mut dp = DataPlane::standard();
-    let handles = Rc::new(Handles::build(&mut dp, specs, &cfg, 4).unwrap());
+    let handles = Arc::new(Handles::build(&mut dp, specs, &cfg, 4).unwrap());
     write_chain_for_tests(
         &mut dp,
         &handles,

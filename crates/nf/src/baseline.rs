@@ -73,16 +73,19 @@ impl NfApp for LocalLb {
         }
         let key = self.key(pkt);
         if let Some(&assigned) = self.table.get(&key) {
-            self.stats.borrow_mut().mapped += 1;
+            self.stats.lock().expect("stats lock poisoned").mapped += 1;
             return self.forward_to(assigned, pkt);
         }
         if pkt.tcp_flags.syn {
             let choice = self.choose(pkt);
             self.table.insert(key, choice);
-            self.stats.borrow_mut().assigned += 1;
+            self.stats.lock().expect("stats lock poisoned").assigned += 1;
             return self.forward_to(choice, pkt);
         }
-        self.stats.borrow_mut().unmapped_drops += 1;
+        self.stats
+            .lock()
+            .expect("stats lock poisoned")
+            .unmapped_drops += 1;
         NfDecision::Drop
     }
 
@@ -120,14 +123,14 @@ impl NfApp for LocalDdos {
         _ingress: NodeId,
         st: &mut dyn SharedState,
     ) -> NfDecision {
-        self.stats.borrow_mut().packets += 1;
+        self.stats.lock().expect("stats lock poisoned").packets += 1;
         let dst_key = u64::from(u32::from(pkt.flow.dst));
         self.sketch.add(dst_key, 1);
         self.total += 1;
         if self.total >= self.cfg.min_total {
             let est = self.sketch.estimate(dst_key);
             if est >= self.cfg.min_est && est * 1000 > self.cfg.share_millis * self.total {
-                let mut s = self.stats.borrow_mut();
+                let mut s = self.stats.lock().expect("stats lock poisoned");
                 s.mitigated += 1;
                 s.first_alarm_ns.get_or_insert(st.now().nanos());
                 return NfDecision::Drop;
@@ -201,7 +204,7 @@ mod tests {
         );
         dep.run_for(SimDuration::millis(10));
         // The sharded baseline drops the rerouted mid-flow packet.
-        let drops: u64 = stats.iter().map(|s| s.borrow().unmapped_drops).sum();
+        let drops: u64 = stats.iter().map(|s| s.lock().unwrap().unmapped_drops).sum();
         assert_eq!(
             drops, 1,
             "sharded LB should break PCC on the alternate path"
@@ -242,7 +245,7 @@ mod tests {
             dep.inject(t + SimDuration::micros(i * 20), (i % 4) as usize, 0, pkt);
         }
         dep.run_for(SimDuration::millis(20));
-        let mitigated: u64 = stats.iter().map(|s| s.borrow().mitigated).sum();
+        let mitigated: u64 = stats.iter().map(|s| s.lock().unwrap().mitigated).sum();
         assert_eq!(
             mitigated, 0,
             "unshared sketches should miss the spread attack"

@@ -12,8 +12,7 @@
 //! detected because each switch reads the *global* estimate.
 
 use crate::sketch::cm_hash;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use swishmem::{NfApp, NfDecision, SharedState};
 use swishmem_wire::swish::RegId;
 use swishmem_wire::{DataPacket, NodeId};
@@ -30,7 +29,7 @@ pub struct DdosStats {
 }
 
 /// Shared handle to [`DdosStats`].
-pub type DdosStatsHandle = Rc<RefCell<DdosStats>>;
+pub type DdosStatsHandle = Arc<Mutex<DdosStats>>;
 
 /// Detector configuration.
 #[derive(Debug, Clone)]
@@ -89,7 +88,7 @@ impl NfApp for DdosDetector {
         _ingress: NodeId,
         st: &mut dyn SharedState,
     ) -> NfDecision {
-        self.stats.borrow_mut().packets += 1;
+        self.stats.lock().expect("stats lock poisoned").packets += 1;
         let dst_key = u64::from(u32::from(pkt.flow.dst));
         // Update all rows + the total counter.
         for (r, &reg) in self.cfg.row_regs.iter().enumerate() {
@@ -102,7 +101,7 @@ impl NfApp for DdosDetector {
         if total >= self.cfg.min_total {
             let est = self.estimate(st, dst_key);
             if est >= self.cfg.min_est && est * 1000 > self.cfg.share_millis * total {
-                let mut s = self.stats.borrow_mut();
+                let mut s = self.stats.lock().expect("stats lock poisoned");
                 s.mitigated += 1;
                 s.first_alarm_ns.get_or_insert(st.now().nanos());
                 return NfDecision::Drop;
@@ -186,7 +185,7 @@ mod tests {
             }
         }
         dep.run_for(SimDuration::millis(50));
-        let mitigated: u64 = stats.iter().map(|s| s.borrow().mitigated).sum();
+        let mitigated: u64 = stats.iter().map(|s| s.lock().unwrap().mitigated).sum();
         assert!(
             mitigated > 50,
             "attack should be mitigated, got {mitigated}"
@@ -196,7 +195,7 @@ mod tests {
         // replicated global sketch.
         for (i, s) in stats.iter().enumerate() {
             assert!(
-                s.borrow().packets < 60,
+                s.lock().unwrap().packets < 60,
                 "switch {i} saw too much traffic locally"
             );
         }
@@ -217,7 +216,7 @@ mod tests {
             );
         }
         dep.run_for(SimDuration::millis(30));
-        let mitigated: u64 = stats.iter().map(|s| s.borrow().mitigated).sum();
+        let mitigated: u64 = stats.iter().map(|s| s.lock().unwrap().mitigated).sum();
         assert_eq!(mitigated, 0);
     }
 }

@@ -11,9 +11,8 @@
 //! opened. Connection state lives in one SRO register keyed by the
 //! canonical (direction-insensitive) flow hash.
 
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use swishmem::{NfApp, NfDecision, SharedState};
 use swishmem_wire::swish::RegId;
 use swishmem_wire::{DataPacket, NodeId};
@@ -44,7 +43,7 @@ pub struct FirewallStats {
 }
 
 /// Shared handle to [`FirewallStats`].
-pub type FirewallStatsHandle = Rc<RefCell<FirewallStats>>;
+pub type FirewallStatsHandle = Arc<Mutex<FirewallStats>>;
 
 /// Firewall configuration.
 #[derive(Debug, Clone)]
@@ -103,7 +102,10 @@ impl NfApp for Firewall {
             if next != state {
                 st.write(self.cfg.conn_reg, key, next);
             }
-            self.stats.borrow_mut().outbound_allowed += 1;
+            self.stats
+                .lock()
+                .expect("stats lock poisoned")
+                .outbound_allowed += 1;
             NfDecision::Forward {
                 dst: self.cfg.outside_host,
                 pkt: *pkt,
@@ -111,7 +113,10 @@ impl NfApp for Firewall {
         } else {
             // Inbound: requires established context.
             if state == conn_state::NONE {
-                self.stats.borrow_mut().inbound_dropped += 1;
+                self.stats
+                    .lock()
+                    .expect("stats lock poisoned")
+                    .inbound_dropped += 1;
                 return NfDecision::Drop;
             }
             if pkt.tcp_flags.rst || pkt.tcp_flags.fin {
@@ -119,7 +124,10 @@ impl NfApp for Firewall {
             } else if state == conn_state::SYN_SENT {
                 st.write(self.cfg.conn_reg, key, conn_state::ESTABLISHED);
             }
-            self.stats.borrow_mut().inbound_allowed += 1;
+            self.stats
+                .lock()
+                .expect("stats lock poisoned")
+                .inbound_allowed += 1;
             NfDecision::Forward {
                 dst: self.cfg.inside_host,
                 pkt: *pkt,
@@ -192,7 +200,7 @@ mod tests {
         let t = dep.now();
         dep.inject(t, 0, 0, reply_in(0));
         dep.run_for(SimDuration::millis(10));
-        assert_eq!(stats[0].borrow().inbound_dropped, 1);
+        assert_eq!(stats[0].lock().unwrap().inbound_dropped, 1);
         assert!(dep.recording(1).borrow().is_empty());
     }
 
@@ -208,7 +216,7 @@ mod tests {
         dep.inject(t, 2, 0, reply_in(1));
         dep.run_for(SimDuration::millis(20));
         assert_eq!(
-            stats[2].borrow().inbound_allowed,
+            stats[2].lock().unwrap().inbound_allowed,
             1,
             "reply wrongly dropped"
         );

@@ -13,8 +13,7 @@
 //! directly from its data plane and flags a heavy hitter the moment the
 //! global count crosses the threshold — no controller round-trip.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use swishmem::{NfApp, NfDecision, SharedState};
 use swishmem_simnet::SimTime;
 use swishmem_wire::swish::RegId;
@@ -38,7 +37,7 @@ impl HhStats {
 }
 
 /// Shared handle to [`HhStats`].
-pub type HhStatsHandle = Rc<RefCell<HhStats>>;
+pub type HhStatsHandle = Arc<Mutex<HhStats>>;
 
 /// Heavy-hitter detector configuration.
 #[derive(Debug, Clone)]
@@ -71,7 +70,7 @@ impl HeavyHitter {
     }
 
     fn flag(&self, key: u32, now: SimTime) {
-        let mut s = self.stats.borrow_mut();
+        let mut s = self.stats.lock().expect("stats lock poisoned");
         if !s.is_flagged(key) {
             s.flagged.push((key, now.nanos()));
         }
@@ -85,7 +84,7 @@ impl NfApp for HeavyHitter {
         _ingress: NodeId,
         st: &mut dyn SharedState,
     ) -> NfDecision {
-        self.stats.borrow_mut().packets += 1;
+        self.stats.lock().expect("stats lock poisoned").packets += 1;
         let key = hh_key(pkt, self.cfg.keys);
         st.add(self.cfg.count_reg, key, pkt.wire_len() as i64);
         if st.read(self.cfg.count_reg, key) > self.cfg.threshold_bytes {
@@ -155,7 +154,7 @@ mod tests {
         dep.run_for(SimDuration::millis(30));
         for (i, s) in stats.iter().enumerate() {
             assert!(
-                s.borrow().is_flagged(key),
+                s.lock().unwrap().is_flagged(key),
                 "switch {i} missed the heavy hitter"
             );
         }
@@ -179,7 +178,10 @@ mod tests {
         }
         dep.run_for(SimDuration::millis(20));
         for s in &stats {
-            assert!(s.borrow().flagged.is_empty(), "mouse flow wrongly flagged");
+            assert!(
+                s.lock().unwrap().flagged.is_empty(),
+                "mouse flow wrongly flagged"
+            );
         }
     }
 
@@ -207,13 +209,15 @@ mod tests {
         dep.inject(t + SimDuration::micros(100), 1, 0, to_dst(hot, 9999));
         dep.run_for(SimDuration::millis(10));
         let f0 = stats[0]
-            .borrow()
+            .lock()
+            .unwrap()
             .flagged
             .iter()
             .find(|&&(k, _)| k == key)
             .map(|&(_, t)| t);
         let f1 = stats[1]
-            .borrow()
+            .lock()
+            .unwrap()
             .flagged
             .iter()
             .find(|&&(k, _)| k == key)

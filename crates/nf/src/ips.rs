@@ -12,8 +12,7 @@
 //! fields anyway. Operators install signatures by sending admin packets
 //! from a designated source port.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use swishmem::{NfApp, NfDecision, SharedState};
 use swishmem_wire::swish::RegId;
 use swishmem_wire::{DataPacket, NodeId};
@@ -30,7 +29,7 @@ pub struct IpsStats {
 }
 
 /// Shared handle to [`IpsStats`].
-pub type IpsStatsHandle = Rc<RefCell<IpsStats>>;
+pub type IpsStatsHandle = Arc<Mutex<IpsStats>>;
 
 /// IPS configuration.
 #[derive(Debug, Clone)]
@@ -85,15 +84,15 @@ impl NfApp for Ips {
             // admin packet itself carries the pattern to blacklist.
             let sig = signature(pkt, self.cfg.keys);
             st.write(self.cfg.sig_reg, sig, 1);
-            self.stats.borrow_mut().installs += 1;
+            self.stats.lock().expect("stats lock poisoned").installs += 1;
             return NfDecision::Drop; // consumed by the switch
         }
         let sig = signature(pkt, self.cfg.keys);
         if st.read(self.cfg.sig_reg, sig) == 1 {
-            self.stats.borrow_mut().matches += 1;
+            self.stats.lock().expect("stats lock poisoned").matches += 1;
             st.add(self.cfg.match_reg, 0, 1);
             if st.read(self.cfg.match_reg, 0) > self.cfg.prevention_threshold {
-                self.stats.borrow_mut().prevented += 1;
+                self.stats.lock().expect("stats lock poisoned").prevented += 1;
                 return NfDecision::Drop;
             }
         }
@@ -166,8 +165,8 @@ mod tests {
             );
         }
         dep.run_for(SimDuration::millis(30));
-        let total_matches: u64 = stats.iter().map(|s| s.borrow().matches).sum();
-        let total_prevented: u64 = stats.iter().map(|s| s.borrow().prevented).sum();
+        let total_matches: u64 = stats.iter().map(|s| s.lock().unwrap().matches).sum();
+        let total_prevented: u64 = stats.iter().map(|s| s.lock().unwrap().prevented).sum();
         assert_eq!(total_matches, 12, "signature should match on every switch");
         assert!(
             total_prevented > 0,
@@ -197,7 +196,7 @@ mod tests {
         dep.inject(t, 0, 0, clean);
         dep.run_for(SimDuration::millis(10));
         assert_eq!(dep.recording(0).borrow().len(), 1);
-        assert_eq!(stats[0].borrow().matches, 0);
+        assert_eq!(stats[0].lock().unwrap().matches, 0);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! swaps it for a deliberately-broken shard-local map to reproduce the
 //! PCC violations §3.2 predicts for sharding under multipath.
 
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use swishmem::{NfApp, NfDecision, SharedState};
 use swishmem_wire::swish::RegId;
 use swishmem_wire::{DataPacket, NodeId};
@@ -30,7 +29,7 @@ pub struct LbStats {
 }
 
 /// Shared handle to [`LbStats`].
-pub type LbStatsHandle = Rc<RefCell<LbStats>>;
+pub type LbStatsHandle = Arc<Mutex<LbStats>>;
 
 /// Load balancer configuration.
 #[derive(Debug, Clone)]
@@ -95,17 +94,20 @@ impl NfApp for LoadBalancer {
         let key = self.key(pkt);
         let assigned = st.read(self.cfg.conn_reg, key);
         if assigned != 0 {
-            self.stats.borrow_mut().mapped += 1;
+            self.stats.lock().expect("stats lock poisoned").mapped += 1;
             return self.forward_to(assigned, pkt);
         }
         if pkt.tcp_flags.syn {
             let choice = self.choose(pkt);
             st.write(self.cfg.conn_reg, key, choice);
-            self.stats.borrow_mut().assigned += 1;
+            self.stats.lock().expect("stats lock poisoned").assigned += 1;
             return self.forward_to(choice, pkt);
         }
         // Mid-connection packet with no mapping anywhere: PCC break.
-        self.stats.borrow_mut().unmapped_drops += 1;
+        self.stats
+            .lock()
+            .expect("stats lock poisoned")
+            .unmapped_drops += 1;
         NfDecision::Drop
     }
 }
@@ -185,7 +187,7 @@ mod tests {
             1,
             "flow split: {counts:?}"
         );
-        let drops: u64 = stats.iter().map(|s| s.borrow().unmapped_drops).sum();
+        let drops: u64 = stats.iter().map(|s| s.lock().unwrap().unmapped_drops).sum();
         assert_eq!(drops, 0);
         // All delivered to the same DIP.
         let nonzero = counts.iter().position(|&c| c > 0).unwrap();
@@ -226,7 +228,7 @@ mod tests {
         let t = dep.now();
         dep.inject(t, 0, 0, pkt(7000, TcpFlags::data(), 5)); // no SYN ever
         dep.run_for(SimDuration::millis(10));
-        let drops: u64 = stats.iter().map(|s| s.borrow().unmapped_drops).sum();
+        let drops: u64 = stats.iter().map(|s| s.lock().unwrap().unmapped_drops).sum();
         assert_eq!(drops, 1);
     }
 }

@@ -12,9 +12,8 @@
 //! each switch allocates from its own disjoint range out of app-local
 //! state.
 
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use swishmem::{NfApp, NfDecision, SharedState};
 use swishmem_wire::swish::RegId;
 use swishmem_wire::{DataPacket, FlowKey, NodeId};
@@ -34,7 +33,7 @@ pub struct NatStats {
 }
 
 /// Shared handle to [`NatStats`].
-pub type NatStatsHandle = Rc<RefCell<NatStats>>;
+pub type NatStatsHandle = Arc<Mutex<NatStats>>;
 
 /// NAT configuration.
 #[derive(Debug, Clone)]
@@ -125,9 +124,12 @@ impl NfApp for Nat {
                     self.rev_key(p),
                     pack_endpoint(pkt.flow.src, pkt.flow.src_port),
                 );
-                self.stats.borrow_mut().allocations += 1;
+                self.stats.lock().expect("stats lock poisoned").allocations += 1;
             } else {
-                self.stats.borrow_mut().outbound_hits += 1;
+                self.stats
+                    .lock()
+                    .expect("stats lock poisoned")
+                    .outbound_hits += 1;
             }
             let mut out = *pkt;
             out.flow.src = self.cfg.nat_ip;
@@ -141,10 +143,13 @@ impl NfApp for Nat {
             let v = st.read(self.cfg.rev_reg, self.rev_key(pkt.flow.dst_port));
             if v == 0 {
                 // No mapping here: the connection breaks (§4.1).
-                self.stats.borrow_mut().inbound_misses += 1;
+                self.stats
+                    .lock()
+                    .expect("stats lock poisoned")
+                    .inbound_misses += 1;
                 return NfDecision::Drop;
             }
-            self.stats.borrow_mut().inbound_hits += 1;
+            self.stats.lock().expect("stats lock poisoned").inbound_hits += 1;
             let (ip, port) = unpack_endpoint(v);
             let mut out = *pkt;
             out.flow.dst = ip;
@@ -223,7 +228,7 @@ mod tests {
         };
         assert_eq!(d.flow.src, Ipv4Addr::new(203, 0, 113, 1));
         assert!(d.flow.src_port >= 10000);
-        assert_eq!(stats[0].borrow().allocations, 1);
+        assert_eq!(stats[0].lock().unwrap().allocations, 1);
     }
 
     #[test]
@@ -263,8 +268,8 @@ mod tests {
         };
         assert_eq!(d.flow.dst, Ipv4Addr::new(10, 0, 0, 5));
         assert_eq!(d.flow.dst_port, 5555);
-        assert_eq!(stats[2].borrow().inbound_hits, 1);
-        assert_eq!(stats[2].borrow().inbound_misses, 0);
+        assert_eq!(stats[2].lock().unwrap().inbound_hits, 1);
+        assert_eq!(stats[2].lock().unwrap().inbound_misses, 0);
     }
 
     #[test]

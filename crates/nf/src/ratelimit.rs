@@ -13,8 +13,7 @@
 //! bandwidth across all ingress switches, converging within a sync
 //! period.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 use swishmem::{NfApp, NfDecision, SharedState};
 use swishmem_wire::swish::RegId;
 use swishmem_wire::{DataPacket, NodeId};
@@ -31,7 +30,7 @@ pub struct RateLimitStats {
 }
 
 /// Shared handle to [`RateLimitStats`].
-pub type RateLimitStatsHandle = Rc<RefCell<RateLimitStats>>;
+pub type RateLimitStatsHandle = Arc<Mutex<RateLimitStats>>;
 
 /// Rate limiter configuration.
 #[derive(Debug, Clone)]
@@ -75,11 +74,11 @@ impl NfApp for RateLimiter {
         let wire_bytes = pkt.wire_len() as u64;
         let used = st.read(self.cfg.meter_reg, key);
         if used >= self.cfg.bytes_per_window {
-            self.stats.borrow_mut().dropped += 1;
+            self.stats.lock().expect("stats lock poisoned").dropped += 1;
             return NfDecision::Drop;
         }
         st.add(self.cfg.meter_reg, key, wire_bytes as i64);
-        let mut s = self.stats.borrow_mut();
+        let mut s = self.stats.lock().expect("stats lock poisoned");
         s.admitted += 1;
         s.admitted_bytes += wire_bytes;
         NfDecision::Forward {
@@ -143,13 +142,13 @@ mod tests {
             );
         }
         dep.run_for(SimDuration::millis(100));
-        let admitted: u64 = stats.iter().map(|s| s.borrow().admitted_bytes).sum();
+        let admitted: u64 = stats.iter().map(|s| s.lock().unwrap().admitted_bytes).sum();
         assert!(admitted >= 1000, "limit enforced too early: {admitted}");
         assert!(
             admitted <= 1400,
             "aggregate enforcement failed; admitted {admitted} B (limit 1000 + slack)"
         );
-        let dropped: u64 = stats.iter().map(|s| s.borrow().dropped).sum();
+        let dropped: u64 = stats.iter().map(|s| s.lock().unwrap().dropped).sum();
         assert!(dropped >= 16);
     }
 
@@ -170,7 +169,7 @@ mod tests {
             );
         }
         dep.run_for(SimDuration::millis(5));
-        let before = stats[0].borrow().admitted;
+        let before = stats[0].lock().unwrap().admitted;
         assert!((10..=11).contains(&before), "got {before}");
         // Next window: budget is fresh.
         dep.run_for(window);
@@ -184,7 +183,7 @@ mod tests {
             );
         }
         dep.run_for(SimDuration::millis(5));
-        assert_eq!(stats[0].borrow().admitted, before + 5);
+        assert_eq!(stats[0].lock().unwrap().admitted, before + 5);
     }
 
     #[test]
@@ -204,9 +203,12 @@ mod tests {
         }
         dep.inject(t + SimDuration::millis(5), 0, 0, user_pkt(quiet, 0));
         dep.run_for(SimDuration::millis(20));
-        assert!(stats[0].borrow().dropped > 0, "hog should be limited");
+        assert!(
+            stats[0].lock().unwrap().dropped > 0,
+            "hog should be limited"
+        );
         // The quiet user's single packet went through (20 hog packets at
         // 100 B hit the 1000 B limit; quiet's bucket is separate).
-        assert!(stats[0].borrow().admitted >= 11);
+        assert!(stats[0].lock().unwrap().admitted >= 11);
     }
 }

@@ -59,7 +59,7 @@ fn nat_port_pool_wraps_without_panicking() {
         10,
         "all outbound packets translated"
     );
-    assert_eq!(stats.borrow().allocations, 10);
+    assert_eq!(stats.lock().unwrap().allocations, 10);
     // Every translated source port stayed within switch 0's range.
     for (_, p) in dep.recording(0).borrow().iter() {
         let PacketBody::Data(d) = &p.body else {
@@ -97,11 +97,11 @@ fn nat_second_packet_of_flow_reuses_mapping() {
     dep.inject(t, 1, 0, f);
     dep.run_for(SimDuration::millis(30));
     assert_eq!(
-        stats.borrow().allocations,
+        stats.lock().unwrap().allocations,
         1,
         "one mapping for the whole flow"
     );
-    assert_eq!(stats.borrow().outbound_hits, 1);
+    assert_eq!(stats.lock().unwrap().outbound_hits, 1);
     let log = dep.recording(0).borrow();
     let ports: Vec<u16> = log
         .iter()
@@ -196,7 +196,7 @@ fn ips_threshold_is_a_hard_boundary() {
         dep.inject(t + SimDuration::micros(i * 100), 0, 0, bad(2000 + i as u16));
     }
     dep.run_for(SimDuration::millis(10));
-    let s = stats.borrow();
+    let s = stats.lock().unwrap();
     assert_eq!(s.matches, 6);
     // Counter reaches threshold after 3 matches; packets 4..6 dropped.
     assert_eq!(s.prevented, 3);
@@ -249,7 +249,7 @@ fn lb_non_vip_traffic_passes_through_untouched() {
         Ipv4Addr::new(5, 6, 7, 8),
         "non-VIP dst must not be rewritten"
     );
-    assert_eq!(stats.borrow().assigned, 0);
+    assert_eq!(stats.lock().unwrap().assigned, 0);
 }
 
 // --------------------------------------------------------- Heavy hitter
@@ -283,7 +283,7 @@ fn heavy_hitter_threshold_exact_boundary() {
     }
     dep.run_for(SimDuration::millis(5));
     // Count after 3 packets == threshold (not >), flag fires on the 4th.
-    assert!(stats.borrow().is_flagged(key));
-    let flagged_at = stats.borrow().flagged[0].1;
+    assert!(stats.lock().unwrap().is_flagged(key));
+    let flagged_at = stats.lock().unwrap().flagged[0].1;
     assert!(flagged_at >= (t + SimDuration::micros(30)).nanos());
 }

@@ -111,7 +111,7 @@ pub trait ControlApp: 'static {
 
     /// A punted item arrived from the pipeline (after punt latency and
     /// serial service delay). Downcast to the expected type(s).
-    fn on_item(&mut self, item: Box<dyn Any>, cp: &mut CpCtx<'_, '_>);
+    fn on_item(&mut self, item: Box<dyn Any + Send>, cp: &mut CpCtx<'_, '_>);
 
     /// A control-plane timer fired. Timers armed before a failure may
     /// fire after recovery with stale tokens; implementations must treat
@@ -126,5 +126,5 @@ pub trait ControlApp: 'static {
 pub struct NullControlApp;
 
 impl ControlApp for NullControlApp {
-    fn on_item(&mut self, _item: Box<dyn Any>, _cp: &mut CpCtx<'_, '_>) {}
+    fn on_item(&mut self, _item: Box<dyn Any + Send>, _cp: &mut CpCtx<'_, '_>) {}
 }

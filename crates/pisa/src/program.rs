@@ -52,7 +52,7 @@ pub enum Effect {
     /// context (e.g. SwiShmem's `(P', Q)` output-packet + write-set pair).
     Punt {
         /// The work item; the control app downcasts it.
-        item: Box<dyn Any>,
+        item: Box<dyn Any + Send>,
         /// Causal trace of the punted operation; when not
         /// [`TraceId::NONE`], the switch emits `punt` / `cp_dequeue` span
         /// markers stamped with the modeled CP queue times.
@@ -133,7 +133,7 @@ impl Effects {
     }
 
     /// Punt a typed item to the control plane.
-    pub fn punt<T: Any>(&mut self, item: T) {
+    pub fn punt<T: Any + Send>(&mut self, item: T) {
         self.items.push(Effect::Punt {
             item: Box::new(item),
             trace: TraceId::NONE,
@@ -142,7 +142,7 @@ impl Effects {
 
     /// Punt a typed item carrying a causal trace: the switch stamps
     /// `punt` and `cp_dequeue` markers from its CP queue model.
-    pub fn punt_traced<T: Any>(&mut self, item: T, trace: TraceId) {
+    pub fn punt_traced<T: Any + Send>(&mut self, item: T, trace: TraceId) {
         self.items.push(Effect::Punt {
             item: Box::new(item),
             trace,

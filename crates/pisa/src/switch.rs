@@ -73,7 +73,7 @@ pub struct Switch<P: DataPlaneProgram, C: ControlApp> {
     cfg: SwitchConfig,
     incarnation: u8,
     cp_next_free: SimTime,
-    cp_pending: HashMap<u64, Box<dyn Any>>,
+    cp_pending: HashMap<u64, Box<dyn Any + Send>>,
     recirc_pending: HashMap<u64, PacketBody>,
     next_work_id: u64,
     pktgens: Vec<(SimDuration, u64)>,
@@ -287,7 +287,7 @@ mod tests {
     use crate::control::NullControlApp;
     use crate::dataplane::RegHandle;
     use std::net::Ipv4Addr;
-    use swishmem_simnet::{LinkParams, Simulator};
+    use swishmem_simnet::{LinkParams, RecorderNode, Recording, ShardedEngine};
     use swishmem_wire::{DataPacket, FlowKey, NodeId};
 
     fn data_pkt(src: u16, dst: u16) -> Packet {
@@ -300,6 +300,11 @@ mod tests {
                 32,
             ),
         )
+    }
+
+    /// What host node 2 received.
+    fn received(sim: &ShardedEngine) -> &Recording {
+        sim.node::<RecorderNode>(NodeId(2)).unwrap().log()
     }
 
     #[test]
@@ -324,7 +329,7 @@ mod tests {
 
     #[test]
     fn pipeline_counts_and_forwards() {
-        let mut sim = Simulator::new(1);
+        let mut sim = ShardedEngine::new(1, 1);
         let mut dp = DataPlane::standard();
         let reg = dp.alloc_register("cnt", 1).unwrap();
         let sw = Switch::new(
@@ -337,8 +342,7 @@ mod tests {
             NullControlApp,
         );
         sim.add_node(NodeId(1), Box::new(sw));
-        let (rec, log) = swishmem_simnet::RecorderNode::new();
-        sim.add_node(NodeId(2), Box::new(rec));
+        sim.add_node(NodeId(2), Box::new(RecorderNode::new()));
         sim.topology_mut()
             .connect(NodeId(1), NodeId(2), LinkParams::datacenter());
         for i in 0..5 {
@@ -349,7 +353,7 @@ mod tests {
         let sw = sim.node::<Sw>(NodeId(1)).unwrap();
         assert_eq!(sw.dp().reg(reg).read(0), 5);
         assert_eq!(sw.stats().pipeline_packets, 5);
-        assert_eq!(log.borrow().len(), 5);
+        assert_eq!(received(&sim).borrow().len(), 5);
     }
 
     /// Punts every packet; the CP echoes it out after the CP costs.
@@ -364,7 +368,7 @@ mod tests {
         handled: u64,
     }
     impl ControlApp for EchoCp {
-        fn on_item(&mut self, item: Box<dyn Any>, cp: &mut CpCtx<'_, '_>) {
+        fn on_item(&mut self, item: Box<dyn Any + Send>, cp: &mut CpCtx<'_, '_>) {
             let pkt = item.downcast::<Packet>().unwrap();
             self.handled += 1;
             cp.packet_out(self.out, pkt.body);
@@ -373,7 +377,7 @@ mod tests {
 
     #[test]
     fn control_plane_serializes_service() {
-        let mut sim = Simulator::new(1);
+        let mut sim = ShardedEngine::new(1, 1);
         let cfg = SwitchConfig::default();
         let sw = Switch::new(
             cfg,
@@ -385,15 +389,14 @@ mod tests {
             },
         );
         sim.add_node(NodeId(1), Box::new(sw));
-        let (rec, log) = swishmem_simnet::RecorderNode::new();
-        sim.add_node(NodeId(2), Box::new(rec));
+        sim.add_node(NodeId(2), Box::new(RecorderNode::new()));
         sim.topology_mut()
             .connect(NodeId(1), NodeId(2), LinkParams::datacenter());
         // Two packets injected simultaneously: CP handles them serially.
         sim.inject(SimTime::ZERO, data_pkt(0, 1));
         sim.inject(SimTime::ZERO, data_pkt(0, 1));
         sim.run_until_quiescent(SimTime(10_000_000));
-        let log = log.borrow();
+        let log = received(&sim).borrow();
         assert_eq!(log.len(), 2);
         let d = log[1].0 - log[0].0;
         // Second packet waited one full service slot behind the first.
@@ -419,7 +422,7 @@ mod tests {
 
     #[test]
     fn recirculation_reprocesses() {
-        let mut sim = Simulator::new(1);
+        let mut sim = ShardedEngine::new(1, 1);
         let sw = Switch::new(
             SwitchConfig::default(),
             DataPlane::standard(),
@@ -427,13 +430,12 @@ mod tests {
             NullControlApp,
         );
         sim.add_node(NodeId(1), Box::new(sw));
-        let (rec, log) = swishmem_simnet::RecorderNode::new();
-        sim.add_node(NodeId(2), Box::new(rec));
+        sim.add_node(NodeId(2), Box::new(RecorderNode::new()));
         sim.topology_mut()
             .connect(NodeId(1), NodeId(2), LinkParams::datacenter());
         sim.inject(SimTime::ZERO, data_pkt(0, 1));
         sim.run_until_quiescent(SimTime(10_000_000));
-        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(received(&sim).borrow().len(), 1);
         type Sw = Switch<RecircOnce, NullControlApp>;
         let sw = sim.node::<Sw>(NodeId(1)).unwrap();
         assert_eq!(sw.stats().recircs, 1);
@@ -453,7 +455,7 @@ mod tests {
 
     #[test]
     fn pktgen_fires_periodically() {
-        let mut sim = Simulator::new(1);
+        let mut sim = ShardedEngine::new(1, 1);
         let mut dp = DataPlane::standard();
         let reg = dp.alloc_register("ticks", 2).unwrap();
         let mut sw = Switch::new(
@@ -474,7 +476,7 @@ mod tests {
 
     #[test]
     fn failure_wipes_state_and_recovery_restarts() {
-        let mut sim = Simulator::new(1);
+        let mut sim = ShardedEngine::new(1, 1);
         let mut dp = DataPlane::standard();
         let reg = dp.alloc_register("cnt", 1).unwrap();
         let sw = Switch::new(
@@ -487,8 +489,7 @@ mod tests {
             NullControlApp,
         );
         sim.add_node(NodeId(1), Box::new(sw));
-        let (rec, _log) = swishmem_simnet::RecorderNode::new();
-        sim.add_node(NodeId(2), Box::new(rec));
+        sim.add_node(NodeId(2), Box::new(RecorderNode::new()));
         sim.topology_mut()
             .connect(NodeId(1), NodeId(2), LinkParams::datacenter());
         sim.inject(SimTime(0), data_pkt(0, 1));

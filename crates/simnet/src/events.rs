@@ -1,10 +1,9 @@
-//! The event core shared by the sequential [`crate::sim::Simulator`] and
-//! the sharded [`crate::shard::ShardedEngine`]: event payloads, flat heap
-//! entries, and the slab-backed priority queue.
+//! The event core of each [`crate::shard::ShardedEngine`] shard: event
+//! payloads, flat heap entries, and the slab-backed priority queue.
 //!
-//! The queue orders events by a 128-bit `(time, key)` pair. The legacy
-//! engine uses a single global insertion sequence as the key; the sharded
-//! engine uses origin-derived keys (see `shard.rs`), which are unique
+//! The queue orders events by a 128-bit `(time, key)` pair. A single
+//! shard uses one global insertion sequence as the key; multi-shard runs
+//! use origin-derived keys (see `shard.rs`), which are unique
 //! across shards so the pop order of any queue — and of any merge of
 //! per-shard outputs — is a total order independent of insertion order.
 
@@ -34,10 +33,9 @@ pub(crate) enum EventKind {
         a: NodeId,
         b: NodeId,
         down: bool,
-        /// Whether processing this event reports it to observers. Always
-        /// true in the sequential engine; the sharded engine schedules a
-        /// link event into both endpoint-owning shards and marks exactly
-        /// one copy as the observable one.
+        /// Whether processing this event reports it to observers. A link
+        /// event is scheduled into both endpoint-owning shards and exactly
+        /// one copy is the observable one (always true on one shard).
         notify: bool,
     },
     LinkDegrade {

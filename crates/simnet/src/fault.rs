@@ -206,7 +206,7 @@ pub struct FaultEvent {
 /// A declarative schedule of mid-run faults.
 ///
 /// Build one with the fluent helpers, or sample one from a seed with
-/// [`FaultGen`]; install it with `Simulator::schedule_faults` (or the
+/// [`FaultGen`]; install it with `ShardedEngine::schedule_faults` (or the
 /// deployment-layer wrapper). The `Display` form is the replay artifact:
 /// printing the seed plus this schedule is enough to reproduce a run.
 #[derive(Debug, Clone, Default, PartialEq)]

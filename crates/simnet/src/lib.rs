@@ -6,9 +6,11 @@
 //!
 //! Key properties:
 //!
-//! * **Deterministic**: a single engine RNG, a total event order
-//!   `(time, insertion-seq)`, and sorted node-start order mean identical
-//!   seeds produce identical runs — every experiment is replayable.
+//! * **Deterministic**: one engine, [`ShardedEngine`]. On one shard a
+//!   single engine RNG, a total event order `(time, insertion-seq)`, and
+//!   sorted node-start order mean identical seeds produce identical runs
+//!   — every experiment is replayable; on `S ≥ 2` shards the output is
+//!   the same for every shard and worker count.
 //! * **Faithful link costs**: links charge serialization delay from the
 //!   true encoded frame length (computed by `swishmem-wire`), model
 //!   transmitter queueing, and inject loss, jitter (reordering) and
@@ -25,18 +27,18 @@
 //!   and none can perturb the run.
 //!
 //! ```
-//! use swishmem_simnet::{Simulator, SimTime, RecorderNode};
+//! use swishmem_simnet::{ShardedEngine, SimTime, RecorderNode};
 //! use swishmem_wire::{NodeId, Packet, DataPacket, FlowKey};
 //! use std::net::Ipv4Addr;
 //!
-//! let mut sim = Simulator::new(42);
-//! let (rec, log) = RecorderNode::new();
-//! sim.add_node(NodeId(1), Box::new(rec));
+//! let mut sim = ShardedEngine::new(42, 1);
+//! sim.add_node(NodeId(1), Box::new(RecorderNode::new()));
 //! let pkt = Packet::data(NodeId(0), NodeId(1), DataPacket::udp(
 //!     FlowKey::udp(Ipv4Addr::new(10,0,0,1), 1000, Ipv4Addr::new(10,0,0,2), 53), 0, 64));
 //! sim.inject(SimTime::ZERO, pkt);
 //! sim.run_until_quiescent(SimTime(1_000_000));
-//! assert_eq!(log.borrow().len(), 1);
+//! let rec = sim.node::<RecorderNode>(NodeId(1)).unwrap();
+//! assert_eq!(rec.log().borrow().len(), 1);
 //! ```
 
 pub mod capture;
@@ -49,7 +51,6 @@ pub mod node;
 pub mod observe;
 pub mod recorder;
 pub mod shard;
-pub mod sim;
 pub mod sink;
 pub mod span;
 pub mod stats;
@@ -62,11 +63,10 @@ pub use ctx::{Ctx, GroupId};
 pub use fault::{FaultAction, FaultEvent, FaultGen, FaultSchedule, LinkOverlay};
 pub use journal::{JournalCollector, JournalHandle, JournalRecord};
 pub use link::{Link, LinkParams, LinkState};
-pub use node::{Node, NodeId, RelayNode};
+pub use node::{AsAny, Node, NodeId, NodeObj, RelayNode};
 pub use observe::{NetEvent, NetObserver, ObserverHandle};
 pub use recorder::{RecorderNode, Recording};
 pub use shard::ShardedEngine;
-pub use sim::{AsAny, NodeObj, Simulator};
 pub use sink::{Sink, SinkHandle};
 pub use span::{SpanCollector, SpanEvent, SpanHandle, SpanPhase};
 pub use stats::{Counter, DropReason, NetStats, TrafficClass};

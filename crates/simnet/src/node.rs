@@ -2,6 +2,7 @@
 //! (switches, hosts, the controller) implements [`Node`].
 
 use crate::ctx::Ctx;
+use std::any::Any;
 use swishmem_wire::Packet;
 
 pub use swishmem_wire::NodeId;
@@ -45,3 +46,26 @@ pub trait Node {
     /// drop it silently (the engine has already counted it).
     fn on_corrupt_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
 }
+
+/// Blanket `Any`-access helper so the engine can hand out typed references
+/// to nodes after a run (e.g. to read a switch's registers or metrics).
+pub trait AsAny {
+    /// Upcast to `&dyn Any`.
+    fn as_any(&self) -> &dyn Any;
+    /// Upcast to `&mut dyn Any`.
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<T: 'static> AsAny for T {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Object-safe supertrait combining [`Node`] and [`AsAny`]: what the
+/// engine stores. `Send`, so shard cores can run on worker threads.
+pub trait NodeObj: Node + AsAny + Send {}
+impl<T: Node + AsAny + Send> NodeObj for T {}

@@ -3,9 +3,9 @@
 //! Observers see injections, deliveries and fault-plane transitions but
 //! cannot influence the run (no RNG access, no event injection), so
 //! attaching or detaching an observer never perturbs the determinism
-//! fingerprint. The sequential engine notifies them synchronously as
-//! events are applied; the sharded engine replays buffered events after
-//! each run segment. Both engines report [`NetEvent::Injected`] at the
+//! fingerprint. A single-shard engine notifies them synchronously as
+//! events are applied; a multi-shard engine replays buffered events after
+//! each run call. [`NetEvent::Injected`] is always reported at the
 //! `inject` call itself. Consumers are the online consistency oracles in
 //! `swishmem-core` and the packet-trace and ingress-capture
 //! [`crate::sink::Sink`]s.
@@ -70,7 +70,7 @@ pub enum NetEvent<'a> {
 }
 
 /// An owned [`NetEvent`] (other than `Injected`, which is never
-/// buffered), buffered by the sharded engine's worker cores
+/// buffered), buffered by the shard cores of a multi-shard run
 /// (which cannot call `Rc`-held observers from other threads) and
 /// replayed through [`NetObserver::on_net_event`] on the control thread
 /// after each run segment.
@@ -82,6 +82,23 @@ pub(crate) enum OwnedNetEvent {
     LinkChanged { a: NodeId, b: NodeId, down: bool },
     LinkDegraded { a: NodeId, b: NodeId },
     LinkRestored { a: NodeId, b: NodeId },
+}
+
+impl From<&NetEvent<'_>> for OwnedNetEvent {
+    fn from(ev: &NetEvent<'_>) -> OwnedNetEvent {
+        match *ev {
+            NetEvent::Injected { .. } => unreachable!("injections are never buffered"),
+            NetEvent::Delivered { to, pkt } => OwnedNetEvent::Delivered {
+                to,
+                pkt: pkt.clone(),
+            },
+            NetEvent::NodeFailed { node } => OwnedNetEvent::NodeFailed { node },
+            NetEvent::NodeRecovered { node } => OwnedNetEvent::NodeRecovered { node },
+            NetEvent::LinkChanged { a, b, down } => OwnedNetEvent::LinkChanged { a, b, down },
+            NetEvent::LinkDegraded { a, b } => OwnedNetEvent::LinkDegraded { a, b },
+            NetEvent::LinkRestored { a, b } => OwnedNetEvent::LinkRestored { a, b },
+        }
+    }
 }
 
 impl OwnedNetEvent {
@@ -108,5 +125,5 @@ pub trait NetObserver {
     fn on_net_event(&mut self, now: SimTime, ev: &NetEvent<'_>);
 }
 
-/// Shared handle to an observer, registered with `Simulator::add_observer`.
+/// Shared handle to an observer, registered with `ShardedEngine::add_observer`.
 pub type ObserverHandle = Rc<RefCell<dyn NetObserver>>;

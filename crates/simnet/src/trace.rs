@@ -152,16 +152,15 @@ mod tests {
 
     /// End-to-end drop accounting: when a live engine delivers more
     /// frames than the trace capacity, every delivery is either recorded
-    /// or counted as overflow — none vanish. Holds on the sequential
-    /// engine and on a 2-shard engine, whose observer events reach the
-    /// trace at merge time.
+    /// or counted as overflow — none vanish. Holds on a single shard,
+    /// which notifies observers synchronously, and on a 2-shard engine,
+    /// whose observer events reach the trace at merge time.
     #[test]
     fn engine_overflow_accounts_for_every_delivery() {
         use crate::ctx::Ctx;
         use crate::link::LinkParams;
         use crate::node::Node;
         use crate::shard::ShardedEngine;
-        use crate::sim::Simulator;
         use swishmem_wire::PacketBody;
 
         struct Echo;
@@ -177,35 +176,23 @@ mod tests {
             }
         }
 
-        fn check(trace: &TraceHandle, delivered: u64) {
+        for shards in [1, 2] {
+            let mut eng = ShardedEngine::new(7, shards);
+            let trace = Trace::new(4);
+            eng.add_observer(trace.clone());
+            eng.add_node(NodeId(0), Box::new(Echo));
+            eng.add_node(NodeId(1), Box::new(Echo));
+            eng.topology_mut()
+                .connect(NodeId(0), NodeId(1), LinkParams::datacenter());
+            eng.inject(SimTime(0), data(0, 1));
+            eng.run_until_quiescent(SimTime(1_000_000_000));
+            assert_eq!(eng.shards(), shards);
+            let delivered = eng.stats().delivered_total().packets;
             let t = trace.borrow();
             assert!(delivered > 4, "scenario must exceed trace capacity");
             assert_eq!(t.entries().len(), 4);
             assert_eq!(t.entries().len() as u64 + t.overflowed(), delivered);
         }
-
-        let mut sim = Simulator::new(7);
-        let trace = Trace::new(4);
-        sim.add_observer(trace.clone());
-        sim.add_node(NodeId(0), Box::new(Echo));
-        sim.add_node(NodeId(1), Box::new(Echo));
-        sim.topology_mut()
-            .connect(NodeId(0), NodeId(1), LinkParams::datacenter());
-        sim.inject(SimTime(0), data(0, 1));
-        sim.run_until_quiescent(SimTime(1_000_000_000));
-        check(&trace, sim.stats().delivered_total().packets);
-
-        let mut eng = ShardedEngine::new(7, 2);
-        let trace = Trace::new(4);
-        eng.add_observer(trace.clone());
-        eng.add_node(NodeId(0), Box::new(Echo));
-        eng.add_node(NodeId(1), Box::new(Echo));
-        eng.topology_mut()
-            .connect(NodeId(0), NodeId(1), LinkParams::datacenter());
-        eng.inject(SimTime(0), data(0, 1));
-        eng.run_until_quiescent(SimTime(1_000_000_000));
-        assert_eq!(eng.shards(), 2);
-        check(&trace, eng.stats().delivered_total().packets);
     }
 
     #[test]

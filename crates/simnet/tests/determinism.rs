@@ -26,7 +26,7 @@
 use std::net::Ipv4Addr;
 use swishmem_simnet::{
     CaptureBuffer, CaptureHandle, Ctx, DropReason, FaultGen, FaultSchedule, GroupId,
-    JournalCollector, JournalHandle, LinkParams, Node, SimDuration, SimTime, Simulator,
+    JournalCollector, JournalHandle, LinkParams, Node, ShardedEngine, SimDuration, SimTime,
     SpanCollector, SpanHandle, SpanPhase, Trace,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody, TraceId};
@@ -130,7 +130,7 @@ fn run_scenario_full(
     journal: Option<JournalHandle>,
     capture: Option<CaptureHandle>,
 ) -> Fingerprint {
-    let mut sim = Simulator::new(seed);
+    let mut sim = ShardedEngine::new(seed, 1);
     let trace = Trace::new(200_000);
     sim.add_observer(trace.clone());
     if let Some(c) = capture {

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use swishmem_simnet::{Ctx, DropReason, LinkParams, Node, SimDuration, SimTime, Simulator};
+use swishmem_simnet::{Ctx, DropReason, LinkParams, Node, ShardedEngine, SimDuration, SimTime};
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody};
 
 /// Forwards every packet to a fixed next hop, decrementing a TTL carried
@@ -35,8 +35,8 @@ fn pkt(dst: u16, ttl: u32) -> Packet {
     )
 }
 
-fn build(seed: u64, loss: f64, jitter_us: u64, n: u16) -> Simulator {
-    let mut sim = Simulator::new(seed);
+fn build(seed: u64, loss: f64, jitter_us: u64, n: u16) -> ShardedEngine {
+    let mut sim = ShardedEngine::new(seed, 1);
     for i in 0..n {
         sim.add_node(
             NodeId(i),
@@ -53,7 +53,7 @@ fn build(seed: u64, loss: f64, jitter_us: u64, n: u16) -> Simulator {
     sim
 }
 
-fn fingerprint(sim: &Simulator) -> (u64, u64, u64, u64) {
+fn fingerprint(sim: &ShardedEngine) -> (u64, u64, u64, u64) {
     let st = sim.stats();
     (
         st.delivered_total().packets,

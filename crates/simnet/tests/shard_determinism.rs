@@ -2,10 +2,10 @@
 //!
 //! Three guarantees are pinned here:
 //!
-//! 1. **`S = 1` is bit-exact with the sequential engine** — a single-shard
-//!    [`ShardedEngine`] reproduces the legacy [`Simulator`]'s golden
-//!    determinism fingerprint unchanged (same RNG stream, same event
-//!    keys, same trace order).
+//! 1. **`S = 1` is the sequential algorithm** — a single-shard
+//!    [`ShardedEngine`] reproduces the golden determinism fingerprint
+//!    unchanged (same RNG stream, same event keys, same trace order), and
+//!    notifies observers synchronously.
 //! 2. **Shard count is a pure performance knob** — for `S ≥ 2` the merged
 //!    stats, delivery-trace hash, and observer event stream are identical
 //!    for any shard count and any worker-thread count.
@@ -16,10 +16,12 @@
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use swishmem_simnet::{
     CaptureBuffer, CaptureHandle, Ctx, DropReason, FaultGen, FaultSchedule, GroupId,
     JournalCollector, JournalHandle, JournalRecord, LinkParams, NetEvent, NetObserver, Node,
-    RelayNode, ShardedEngine, SimDuration, SimTime, Simulator, Trace,
+    RelayNode, ShardedEngine, SimDuration, SimTime, Trace,
 };
 use swishmem_wire::{DataPacket, FlowKey, NodeId, Packet, PacketBody};
 
@@ -150,18 +152,13 @@ impl NetObserver for Collector {
 // sharded engine. Single-shard mode must reproduce the golden values.
 // ---------------------------------------------------------------------
 
-enum EngineUnderTest {
-    Legacy,
-    Sharded(usize),
-}
-
-fn run_churn(seed: u64, engine: EngineUnderTest, faults: Option<&FaultSchedule>) -> Fingerprint {
-    run_churn_full(seed, engine, faults, None, None)
+fn run_churn(seed: u64, shards: usize, faults: Option<&FaultSchedule>) -> Fingerprint {
+    run_churn_full(seed, shards, faults, None, None)
 }
 
 fn run_churn_full(
     seed: u64,
-    engine: EngineUnderTest,
+    shards: usize,
     faults: Option<&FaultSchedule>,
     journal: Option<JournalHandle>,
     capture: Option<CaptureHandle>,
@@ -169,119 +166,68 @@ fn run_churn_full(
     let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
     let trace = Trace::new(200_000);
     let params = LinkParams::lossy(0.08).with_jitter(SimDuration::micros(2));
-    let inject_all = |f: &mut dyn FnMut(SimTime, Packet)| {
-        for i in 0..200u64 {
-            let src = NodeId((i % 5) as u16);
-            let dst = NodeId(((i + 1) % 5) as u16);
-            f(
-                SimTime(i * 7_000),
-                Packet::data(
-                    src,
-                    dst,
-                    DataPacket::udp(
-                        FlowKey::udp(
-                            Ipv4Addr::new(10, 0, 0, 1),
-                            (100 + i) as u16,
-                            Ipv4Addr::new(10, 0, 0, 2),
-                            6,
-                        ),
-                        0,
-                        64,
+    let mut sim = ShardedEngine::new(seed, shards);
+    sim.add_observer(trace.clone());
+    if let Some(c) = capture {
+        sim.add_observer(c);
+    }
+    if let Some(j) = journal {
+        sim.set_journal(j);
+    }
+    for &id in &ids {
+        sim.add_node(
+            id,
+            Box::new(Churn {
+                ttl: 6,
+                timer_rounds: 0,
+            }),
+        );
+    }
+    sim.topology_mut().full_mesh(&ids, params);
+    sim.topology_mut().set_group(GroupId(1), ids.clone());
+    for i in 0..200u64 {
+        let src = NodeId((i % 5) as u16);
+        let dst = NodeId(((i + 1) % 5) as u16);
+        sim.inject(
+            SimTime(i * 7_000),
+            Packet::data(
+                src,
+                dst,
+                DataPacket::udp(
+                    FlowKey::udp(
+                        Ipv4Addr::new(10, 0, 0, 1),
+                        (100 + i) as u16,
+                        Ipv4Addr::new(10, 0, 0, 2),
+                        6,
                     ),
+                    0,
+                    64,
                 ),
-            );
-        }
-    };
-
-    match engine {
-        EngineUnderTest::Legacy => {
-            let mut sim = Simulator::new(seed);
-            sim.add_observer(trace.clone());
-            if let Some(c) = capture {
-                sim.add_observer(c);
-            }
-            if let Some(j) = journal {
-                sim.set_journal(j);
-            }
-            for &id in &ids {
-                sim.add_node(
-                    id,
-                    Box::new(Churn {
-                        ttl: 6,
-                        timer_rounds: 0,
-                    }),
-                );
-            }
-            sim.topology_mut().full_mesh(&ids, params);
-            sim.topology_mut().set_group(GroupId(1), ids.clone());
-            inject_all(&mut |t, p| sim.inject(t, p));
-            sim.schedule_fail(SimTime(300_000), NodeId(2));
-            sim.schedule_recover(SimTime(900_000), NodeId(2));
-            sim.schedule_link_set(SimTime(400_000), NodeId(0), NodeId(1), true);
-            sim.schedule_link_set(SimTime(1_000_000), NodeId(0), NodeId(1), false);
-            if let Some(sched) = faults {
-                sim.schedule_faults(SimTime::ZERO, sched);
-            }
-            sim.run_until_quiescent(SimTime(30_000_000));
-            let s = sim.stats();
-            Fingerprint {
-                events: sim.events_processed(),
-                end_ns: sim.now().nanos(),
-                delivered_pkts: s.delivered_total().packets,
-                delivered_bytes: s.delivered_total().bytes,
-                lost: s.dropped(DropReason::Loss).packets,
-                no_route: s.dropped(DropReason::NoRoute).packets,
-                node_down: s.dropped(DropReason::NodeDown).packets,
-                link_down: s.dropped(DropReason::LinkDown).packets,
-                corrupt: s.dropped(DropReason::Corrupt).packets,
-                trace_len: trace.borrow().entries().len(),
-                trace_hash: trace_hash(&trace.borrow()),
-            }
-        }
-        EngineUnderTest::Sharded(shards) => {
-            let mut sim = ShardedEngine::new(seed, shards);
-            sim.add_observer(trace.clone());
-            if let Some(c) = capture {
-                sim.add_observer(c);
-            }
-            if let Some(j) = journal {
-                sim.set_journal(j);
-            }
-            for &id in &ids {
-                sim.add_node(
-                    id,
-                    Box::new(Churn {
-                        ttl: 6,
-                        timer_rounds: 0,
-                    }),
-                );
-            }
-            sim.topology_mut().full_mesh(&ids, params);
-            sim.topology_mut().set_group(GroupId(1), ids.clone());
-            inject_all(&mut |t, p| sim.inject(t, p));
-            sim.schedule_fail(SimTime(300_000), NodeId(2));
-            sim.schedule_recover(SimTime(900_000), NodeId(2));
-            sim.schedule_link_set(SimTime(400_000), NodeId(0), NodeId(1), true);
-            sim.schedule_link_set(SimTime(1_000_000), NodeId(0), NodeId(1), false);
-            if let Some(sched) = faults {
-                sim.schedule_faults(SimTime::ZERO, sched);
-            }
-            sim.run_until_quiescent(SimTime(30_000_000));
-            let s = sim.stats();
-            Fingerprint {
-                events: sim.events_processed(),
-                end_ns: sim.now().nanos(),
-                delivered_pkts: s.delivered_total().packets,
-                delivered_bytes: s.delivered_total().bytes,
-                lost: s.dropped(DropReason::Loss).packets,
-                no_route: s.dropped(DropReason::NoRoute).packets,
-                node_down: s.dropped(DropReason::NodeDown).packets,
-                link_down: s.dropped(DropReason::LinkDown).packets,
-                corrupt: s.dropped(DropReason::Corrupt).packets,
-                trace_len: trace.borrow().entries().len(),
-                trace_hash: trace_hash(&trace.borrow()),
-            }
-        }
+            ),
+        );
+    }
+    sim.schedule_fail(SimTime(300_000), NodeId(2));
+    sim.schedule_recover(SimTime(900_000), NodeId(2));
+    sim.schedule_link_set(SimTime(400_000), NodeId(0), NodeId(1), true);
+    sim.schedule_link_set(SimTime(1_000_000), NodeId(0), NodeId(1), false);
+    if let Some(sched) = faults {
+        sim.schedule_faults(SimTime::ZERO, sched);
+    }
+    sim.run_until_quiescent(SimTime(30_000_000));
+    let s = sim.stats();
+    let trace = trace.borrow();
+    Fingerprint {
+        events: sim.events_processed(),
+        end_ns: sim.now().nanos(),
+        delivered_pkts: s.delivered_total().packets,
+        delivered_bytes: s.delivered_total().bytes,
+        lost: s.dropped(DropReason::Loss).packets,
+        no_route: s.dropped(DropReason::NoRoute).packets,
+        node_down: s.dropped(DropReason::NodeDown).packets,
+        link_down: s.dropped(DropReason::LinkDown).packets,
+        corrupt: s.dropped(DropReason::Corrupt).packets,
+        trace_len: trace.entries().len(),
+        trace_hash: trace_hash(&trace),
     }
 }
 
@@ -290,7 +236,7 @@ fn run_churn_full(
 /// `determinism::matches_pre_optimization_golden_fingerprint`.
 #[test]
 fn single_shard_matches_golden_fingerprint() {
-    let got = run_churn(1234, EngineUnderTest::Sharded(1), None);
+    let got = run_churn(1234, 1, None);
     println!("fingerprint: {got:?}");
     let golden = Fingerprint {
         events: 3290,
@@ -308,20 +254,71 @@ fn single_shard_matches_golden_fingerprint() {
     assert_eq!(got, golden, "single-shard mode diverged from the golden");
 }
 
-/// Field-by-field equality against a live `Simulator` run, with a
-/// generated fault schedule layered on to also cover the fault plane.
+/// Field-by-field equality with fingerprints pinned from the retired
+/// sequential engine (the same scenario, run on it for each seed),
+/// with a generated fault schedule layered on to also cover the fault
+/// plane.
 #[test]
-fn single_shard_matches_legacy_simulator_under_faults() {
+fn single_shard_matches_pinned_fingerprints_under_faults() {
     let ids: Vec<NodeId> = (0..5).map(NodeId).collect();
     let links: Vec<(NodeId, NodeId)> = (0..5u16)
         .flat_map(|i| ((i + 1)..5).map(move |j| (NodeId(i), NodeId(j))))
         .collect();
     let sched = FaultGen::new(99).generate(&ids, &links, SimDuration::millis(2), 5);
     assert!(!sched.is_empty());
-    for seed in [1234u64, 4321, 7] {
-        let legacy = run_churn(seed, EngineUnderTest::Legacy, Some(&sched));
-        let sharded = run_churn(seed, EngineUnderTest::Sharded(1), Some(&sched));
-        assert_eq!(legacy, sharded, "seed {seed}: S=1 diverged from Simulator");
+    let pinned = [
+        (
+            1234u64,
+            Fingerprint {
+                events: 2692,
+                end_ns: 2_089_560,
+                delivered_pkts: 2422,
+                delivered_bytes: 301_648,
+                lost: 193,
+                no_route: 0,
+                node_down: 143,
+                link_down: 111,
+                corrupt: 0,
+                trace_len: 2422,
+                trace_hash: 8_878_767_486_007_147_242,
+            },
+        ),
+        (
+            4321,
+            Fingerprint {
+                events: 2551,
+                end_ns: 2_089_925,
+                delivered_pkts: 2278,
+                delivered_bytes: 281_368,
+                lost: 207,
+                no_route: 0,
+                node_down: 144,
+                link_down: 109,
+                corrupt: 2,
+                trace_len: 2278,
+                trace_hash: 8_011_183_907_855_033_146,
+            },
+        ),
+        (
+            7,
+            Fingerprint {
+                events: 2581,
+                end_ns: 2_090_659,
+                delivered_pkts: 2316,
+                delivered_bytes: 288_300,
+                lost: 209,
+                no_route: 0,
+                node_down: 137,
+                link_down: 109,
+                corrupt: 1,
+                trace_len: 2316,
+                trace_hash: 6_121_074_466_631_944_589,
+            },
+        ),
+    ];
+    for (seed, want) in pinned {
+        let got = run_churn(seed, 1, Some(&sched));
+        assert_eq!(got, want, "seed {seed}: S=1 diverged from the pinned run");
     }
 }
 
@@ -332,14 +329,8 @@ fn single_shard_matches_legacy_simulator_under_faults() {
 #[test]
 fn single_shard_journal_attach_matches_golden_fingerprint() {
     let journal = JournalCollector::new(1_000_000);
-    let attached = run_churn_full(
-        1234,
-        EngineUnderTest::Sharded(1),
-        None,
-        Some(journal.clone()),
-        None,
-    );
-    let detached = run_churn(1234, EngineUnderTest::Sharded(1), None);
+    let attached = run_churn_full(1234, 1, None, Some(journal.clone()), None);
+    let detached = run_churn(1234, 1, None);
     assert_eq!(
         attached, detached,
         "attaching the journal perturbed the single-shard run"
@@ -357,38 +348,82 @@ fn single_shard_journal_attach_matches_golden_fingerprint() {
 #[test]
 fn single_shard_capture_attach_matches_golden_fingerprint() {
     let capture = CaptureBuffer::new(1_000);
-    let attached = run_churn_full(
-        1234,
-        EngineUnderTest::Sharded(1),
-        None,
-        None,
-        Some(capture.clone()),
-    );
+    let attached = run_churn_full(1234, 1, None, None, Some(capture.clone()));
     assert_eq!(
         attached,
-        run_churn(1234, EngineUnderTest::Sharded(1), None),
+        run_churn(1234, 1, None),
         "attaching the capture perturbed the single-shard run"
     );
     assert_eq!(attached.trace_hash, 11_977_170_304_909_245_025);
     assert_eq!(capture.borrow().len(), 200);
 }
 
-/// One injected schedule tapes identical `(time, packet)` records on the
-/// sequential engine and on the sharded engine at S = 1 and S = 2: the
-/// capture sees `inject` calls, not the shard partition.
+/// One injected schedule tapes identical `(time, packet)` records at
+/// S = 1 and S = 2: the capture sees `inject` calls, not the shard
+/// partition.
 #[test]
-fn capture_is_identical_across_engines() {
-    let taped = |engine: EngineUnderTest| -> Vec<(SimTime, Packet)> {
+fn capture_is_identical_across_shard_counts() {
+    let taped = |shards: usize| -> Vec<(SimTime, Packet)> {
         let capture = CaptureBuffer::new(1_000);
-        run_churn_full(1234, engine, None, None, Some(capture.clone()));
+        run_churn_full(1234, shards, None, None, Some(capture.clone()));
         let c = capture.borrow();
         assert_eq!(c.overflowed(), 0);
         c.entries().to_vec()
     };
-    let legacy = taped(EngineUnderTest::Legacy);
-    assert_eq!(legacy.len(), 200);
-    assert_eq!(legacy, taped(EngineUnderTest::Sharded(1)), "S=1 diverged");
-    assert_eq!(legacy, taped(EngineUnderTest::Sharded(2)), "S=2 diverged");
+    let one = taped(1);
+    assert_eq!(one.len(), 200);
+    assert_eq!(one, taped(2), "S=2 diverged from S=1");
+}
+
+/// Counts the packets its node has handled, in a counter it shares with
+/// the observer below.
+struct Counted {
+    handled: Arc<AtomicU64>,
+}
+
+impl Node for Counted {
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {
+        self.handled.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Reads the shared counter at each delivery.
+struct BeforeHandler {
+    handled: Arc<AtomicU64>,
+    seen: Vec<u64>,
+}
+
+impl NetObserver for BeforeHandler {
+    fn on_net_event(&mut self, _now: SimTime, ev: &NetEvent<'_>) {
+        if let NetEvent::Delivered { .. } = ev {
+            self.seen.push(self.handled.load(Ordering::SeqCst));
+        }
+    }
+}
+
+/// At S = 1 observers are called synchronously: each `Delivered` event
+/// reaches the observer after every earlier handler and before the
+/// receiving node's own handler runs.
+#[test]
+fn single_shard_observer_sees_delivery_before_handler() {
+    let handled = Arc::new(AtomicU64::new(0));
+    let obs = Rc::new(RefCell::new(BeforeHandler {
+        handled: handled.clone(),
+        seen: Vec::new(),
+    }));
+    let mut sim = ShardedEngine::new(5, 1);
+    sim.add_observer(obs.clone());
+    sim.add_node(NodeId(1), Box::new(Counted { handled }));
+    for i in 0..4 {
+        let pkt = Packet {
+            src: NodeId(0),
+            dst: NodeId(1),
+            body: body(0, 64),
+        };
+        sim.inject(SimTime(i * 1_000), pkt);
+    }
+    sim.run_until_quiescent(SimTime(1_000_000));
+    assert_eq!(obs.borrow().seen, vec![0, 1, 2, 3]);
 }
 
 /// The journal record stream is shard-count invariant for S >= 2 (like
@@ -401,13 +436,7 @@ fn capture_is_identical_across_engines() {
 fn journal_is_shard_count_invariant() {
     let canonical = |shards: usize| -> (Fingerprint, Vec<JournalRecord>) {
         let journal = JournalCollector::new(1_000_000);
-        let fp = run_churn_full(
-            1234,
-            EngineUnderTest::Sharded(shards),
-            None,
-            Some(journal.clone()),
-            None,
-        );
+        let fp = run_churn_full(1234, shards, None, Some(journal.clone()), None);
         let mut recs = journal.borrow().entries().to_vec();
         // Multi-shard drains merge per-shard sinks in full-field order;
         // sort both streams to that canonical order before comparing.
@@ -419,7 +448,7 @@ fn journal_is_shard_count_invariant() {
     assert_eq!(fp2, fp4, "S=4 attached fingerprint diverged from S=2");
     assert_eq!(
         fp2,
-        run_churn(1234, EngineUnderTest::Sharded(2), None),
+        run_churn(1234, 2, None),
         "attaching the journal perturbed the 2-shard run"
     );
     assert!(!rec2.is_empty());

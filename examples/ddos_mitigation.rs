@@ -82,7 +82,7 @@ fn main() {
     println!("\nper-switch detector state:");
     let mut total_mitigated = 0;
     for (i, s) in stats.iter().enumerate() {
-        let s = s.borrow();
+        let s = s.lock().expect("stats lock poisoned");
         let delay = s
             .first_alarm_ns
             .map(|ns| {

@@ -83,7 +83,9 @@ fn main() {
     println!("true heavy hitters (> {THRESHOLD} B across the whole fabric):");
     for (d, b) in &true_hh {
         let key = u32::from(*d) % KEYS;
-        let flagged_everywhere = stats.iter().all(|s| s.borrow().is_flagged(key));
+        let flagged_everywhere = stats
+            .iter()
+            .all(|s| s.lock().expect("stats lock poisoned").is_flagged(key));
         println!(
             "  {d}: {b} B — flagged on all 4 switches: {flagged_everywhere}  (global count {})",
             dep.peek(0, 0, key)
@@ -92,7 +94,7 @@ fn main() {
     }
     let total_flags: usize = stats
         .iter()
-        .map(|s| s.borrow().flagged.len())
+        .map(|s| s.lock().expect("stats lock poisoned").flagged.len())
         .max()
         .unwrap_or(0);
     println!(

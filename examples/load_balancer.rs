@@ -79,7 +79,10 @@ fn main() {
         );
         total += log.len();
     }
-    let violations: u64 = stats.iter().map(|s| s.borrow().unmapped_drops).sum();
+    let violations: u64 = stats
+        .iter()
+        .map(|s| s.lock().expect("stats lock poisoned").unmapped_drops)
+        .sum();
     // Verify per-connection consistency: each client port appears at
     // exactly one backend.
     let mut seen: std::collections::HashMap<u16, usize> = std::collections::HashMap::new();

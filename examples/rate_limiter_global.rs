@@ -72,7 +72,7 @@ fn main() {
     let mut dropped = 0u64;
     println!("per-switch limiter decisions for the hog's window:");
     for (i, s) in stats.iter().enumerate() {
-        let s = s.borrow();
+        let s = s.lock().expect("stats lock poisoned");
         println!(
             "  switch {i}: admitted {} pkts ({} B), dropped {}",
             s.admitted, s.admitted_bytes, s.dropped
