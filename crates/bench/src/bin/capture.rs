@@ -18,13 +18,14 @@
 //! ```
 //!
 //! A summary of the capture (records, bytes, clock span) is appended to
-//! `results/E24_capture.json` unless `--json` overrides the path.
+//! `results/E24_capture.json` unless `--json` overrides the path. A
+//! missing or malformed `--import-text` file exits 2 and writes nothing.
 
 use std::io::BufWriter;
 
 use swishmem::prelude::*;
 use swishmem::{NfDecision, RegisterSpec, SharedState};
-use swishmem_bench::cli::Flags;
+use swishmem_bench::cli::{bad_input, Flags};
 use swishmem_bench::json::Json;
 use swishmem_nf::workload::{EcmpRouter, FlowGen, FlowGenConfig, RoutingMode};
 use swishmem_replay::{
@@ -151,8 +152,8 @@ fn main() {
         let (n, meta) = write_records(&out, &records, TraceMeta::new(3, seed, "live-run"));
         ("live-run", n, meta)
     } else if let Some(text_path) = flags.get("--import-text") {
-        let text = std::fs::read_to_string(text_path).expect("read text trace");
-        let records = records_from_text(&text).unwrap_or_else(|e| panic!("parse {text_path}: {e}"));
+        let text = std::fs::read_to_string(text_path).unwrap_or_else(|e| bad_input(text_path, e));
+        let records = records_from_text(&text).unwrap_or_else(|e| bad_input(text_path, e));
         let ingress = records
             .iter()
             .map(|r| u32::from(r.ingress))

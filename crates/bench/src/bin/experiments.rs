@@ -45,7 +45,7 @@ fn main() {
         }
         eprintln!(
             "companion bins (cargo run -p swishmem-bench --release --bin <name>): \
-             trace_explain, ctrl_explain, perf_baseline"
+             explain, perf_baseline, capture, replay"
         );
         return;
     }

@@ -17,20 +17,22 @@
 //! ```
 //!
 //! A JSON report lands in `results/E24_replay.json` (override with
-//! `--json`). Exits nonzero if a scenario pack fails its gates.
+//! `--json`). Exits 1 if a scenario pack fails its gates, and 2 without
+//! writing anything if the trace is missing, truncated or corrupt.
 
+use std::fs::File;
 use std::io::BufReader;
 
 use swishmem::prelude::*;
 use swishmem::{NfDecision, RegisterSpec, SharedState};
-use swishmem_bench::cli::Flags;
+use swishmem_bench::cli::{bad_input, Flags};
 use swishmem_bench::json::Json;
 use swishmem_bench::shardnet::{
     run_leaf_spine_injected, trace_to_leaf_spine, LeafSpineSpec, ShardRunConfig,
 };
 use swishmem_replay::{
     replay_digest, replay_trace, run_pack, PackConfig, PackKind, ReplayConfig, Sabotage,
-    TraceReader,
+    TraceError, TraceReader,
 };
 
 struct CountNf;
@@ -50,10 +52,17 @@ impl swishmem::NfApp for CountNf {
     }
 }
 
+/// Open `trace` and validate its superblock; a missing or corrupt file
+/// exits 2 with the typed error.
+fn open_trace(trace: &str) -> TraceReader<BufReader<File>> {
+    File::open(trace)
+        .map_err(TraceError::from)
+        .and_then(|f| TraceReader::new(BufReader::new(f)))
+        .unwrap_or_else(|e| bad_input(trace, e))
+}
+
 fn proto_replay(trace: &str, seed: u64, cfg: &ReplayConfig) -> Json {
-    let file = std::fs::File::open(trace).unwrap_or_else(|e| panic!("open {trace}: {e}"));
-    let mut reader =
-        TraceReader::new(BufReader::new(file)).unwrap_or_else(|e| panic!("parse {trace}: {e}"));
+    let mut reader = open_trace(trace);
     let mut dep = DeploymentBuilder::new(3)
         .hosts(2)
         .seed(seed)
@@ -62,7 +71,7 @@ fn proto_replay(trace: &str, seed: u64, cfg: &ReplayConfig) -> Json {
     dep.settle();
     let start = SimTime(dep.now().0 + 1_000_000);
     let stats = replay_trace(&mut dep, &mut reader, &ReplayConfig { start, ..*cfg })
-        .unwrap_or_else(|e| panic!("replay {trace}: {e}"));
+        .unwrap_or_else(|e| bad_input(trace, e));
     dep.run_for(SimDuration::millis(10));
     let digest = replay_digest(&dep, 256);
     eprintln!(
@@ -81,12 +90,9 @@ fn proto_replay(trace: &str, seed: u64, cfg: &ReplayConfig) -> Json {
 }
 
 fn leafspine_replay(trace: &str, spec: LeafSpineSpec, shards: usize) -> Json {
-    let file = std::fs::File::open(trace).unwrap_or_else(|e| panic!("open {trace}: {e}"));
-    let mut reader =
-        TraceReader::new(BufReader::new(file)).unwrap_or_else(|e| panic!("parse {trace}: {e}"));
-    let records = reader
+    let records = open_trace(trace)
         .read_all()
-        .unwrap_or_else(|e| panic!("read {trace}: {e}"));
+        .unwrap_or_else(|e| bad_input(trace, e));
     let injections = trace_to_leaf_spine(&spec, &records);
     let o = run_leaf_spine_injected(&ShardRunConfig::scaling(spec, shards, 0), &injections);
     eprintln!(

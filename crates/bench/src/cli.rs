@@ -3,7 +3,8 @@
 //! Each binary declares its flags up front. An unknown flag, a flag
 //! missing its value, or a value that does not parse prints the usage
 //! text and exits with status 2 — before the binary runs or writes
-//! anything.
+//! anything. An input file that cannot be read or parsed exits 2 the
+//! same way, through [`bad_input`].
 
 use std::str::FromStr;
 
@@ -80,6 +81,13 @@ impl Flags {
     pub fn fail(&self, msg: &str) -> ! {
         exit_usage(self.usage, msg)
     }
+}
+
+/// Report input file `path` and the typed error that refused it, then
+/// exit with status 2.
+pub fn bad_input(path: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("error: {path}: {err}");
+    std::process::exit(2)
 }
 
 fn exit_usage(usage: &str, msg: &str) -> ! {

@@ -9,27 +9,12 @@
 //! itself recovers. The steady-state consensus message overhead is
 //! reported from the no-crash runs.
 
-use crate::scenarios::udp_write;
+use crate::scenarios::{udp_write, ProbeNf, WRITE_KEYS};
 use crate::table::{ExperimentResult, Table};
 use swishmem::prelude::*;
-use swishmem::{
-    ConfigEventKind, Deployment, NfApp, NfDecision, ReconfigEvent, RegisterSpec, SharedState,
-    TriggerOp,
-};
+use swishmem::{ConfigEventKind, Deployment, ReconfigEvent, RegisterSpec, TriggerOp};
 use swishmem_wire::NodeId as WireNodeId;
 
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-const KEYS: u32 = 48;
 const RECOVER_AFTER: SimDuration = SimDuration::millis(25);
 
 fn build(seed: u64, replicas: u8) -> Deployment {
@@ -37,8 +22,8 @@ fn build(seed: u64, replicas: u8) -> Deployment {
         .hosts(1)
         .seed(seed)
         .ctrl_replicas(replicas)
-        .register(RegisterSpec::partitioned(0, "p", KEYS))
-        .build(|_| Box::new(WriteNf));
+        .register(RegisterSpec::partitioned(0, "p", WRITE_KEYS))
+        .build(|_| Box::new(ProbeNf));
     dep.settle();
     dep
 }
@@ -68,7 +53,7 @@ fn run_once(seed: u64, replicas: u8, crash_at: Option<SimDuration>) -> Outcome {
     let mut injected = 0u64;
     let mut t = SimDuration::micros(0);
     while t < SimDuration::millis(30) {
-        let key = (injected % u64::from(KEYS)) as u16;
+        let key = (injected % u64::from(WRITE_KEYS)) as u16;
         dep.inject(
             t0 + t,
             (injected % 3) as usize,

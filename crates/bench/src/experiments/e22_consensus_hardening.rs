@@ -9,24 +9,11 @@
 //! horizon: the slot window stays bounded by snapshots while lookups are
 //! load-spread across the replica group.
 
-use crate::scenarios::udp_write;
+use crate::scenarios::{inject_writes, ProbeNf, WRITE_KEYS};
 use crate::table::{ExperimentResult, Table};
 use swishmem::prelude::*;
-use swishmem::{Deployment, NfApp, NfDecision, RegisterSpec, SharedState, TriggerOp};
+use swishmem::{Deployment, RegisterSpec, TriggerOp};
 use swishmem_simnet::{FaultSchedule, LinkOverlay};
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-const KEYS: u32 = 48;
 
 fn build(seed: u64, tweak: impl FnOnce(&mut SwishConfig)) -> Deployment {
     let mut cfg = SwishConfig {
@@ -38,23 +25,10 @@ fn build(seed: u64, tweak: impl FnOnce(&mut SwishConfig)) -> Deployment {
         .hosts(1)
         .seed(seed)
         .swish_config(cfg)
-        .register(RegisterSpec::partitioned(0, "p", KEYS))
-        .build(|_| Box::new(WriteNf));
+        .register(RegisterSpec::partitioned(0, "p", WRITE_KEYS))
+        .build(|_| Box::new(ProbeNf));
     dep.settle();
     dep
-}
-
-fn inject_writes(dep: &mut Deployment, t0: SimTime, n: u64, window: SimDuration) {
-    let step = window.as_nanos() / n.max(1);
-    for i in 0..n {
-        let key = (i % u64::from(KEYS)) as u16;
-        dep.inject(
-            t0 + SimDuration::nanos(i * step),
-            (i % 3) as usize,
-            0,
-            udp_write(key, 100 + (i % 400) as u16),
-        );
-    }
 }
 
 /// Crash the warmed-up leader and return the crash-to-committed-election
@@ -136,7 +110,7 @@ fn compaction_run(seed: u64) -> CompactionOutcome {
             t0 + SimDuration::millis(5 * i),
             (i % 3) as usize,
             0,
-            (i % u64::from(KEYS)) as u32,
+            (i % u64::from(WRITE_KEYS)) as u32,
         );
     }
     dep.run_for(SimDuration::millis(340));

@@ -6,16 +6,17 @@
 //! encodes and emits a `CtrlEvent` into the **detached** journal slot —
 //! the controller's instrumentation density on its hottest paths. The
 //! gate is <2% events/s regression (DESIGN.md §14). A second table
-//! replays E22's leader-crash scenario with the journal attached and
-//! checks that the journal-reconstructed failover gap agrees with the
-//! controller's own election log to within 1 µs.
+//! runs the `explain` bin's leader-crash scenario
+//! ([`crate::scenarios::crash_run`]) and checks that the
+//! journal-reconstructed failover gap agrees with the controller's own
+//! election log to within 1 µs.
 
-use crate::scenarios::udp_write;
+use crate::scenarios::crash_run;
 use crate::table::{ExperimentResult, Table};
 use std::net::Ipv4Addr;
 use std::time::Instant;
 use swishmem::prelude::*;
-use swishmem::{CtrlEvent, Deployment, Journal, NfApp, NfDecision, RegisterSpec, SharedState};
+use swishmem::CtrlEvent;
 use swishmem_simnet::{Ctx, Node, NodeObj, ShardedEngine};
 use swishmem_wire::{Packet, PacketBody};
 
@@ -122,73 +123,6 @@ pub fn measure_pair(events: u64, reps: usize) -> (f64, f64) {
     (events as f64 / best_p, events as f64 / best_j)
 }
 
-// ---------------------------------------------------------------------
-// Fidelity: journal-reconstructed failover gap vs the election log
-// ---------------------------------------------------------------------
-
-struct WriteNf;
-impl NfApp for WriteNf {
-    fn process(&mut self, pkt: &DataPacket, _i: NodeId, st: &mut dyn SharedState) -> NfDecision {
-        st.write(0, u32::from(pkt.flow.dst_port), u64::from(pkt.payload_len));
-        NfDecision::Forward {
-            dst: NodeId(HOST_BASE),
-            pkt: *pkt,
-        }
-    }
-}
-
-const KEYS: u32 = 48;
-
-fn inject_writes(dep: &mut Deployment, t0: SimTime, n: u64, window: SimDuration) {
-    let step = window.as_nanos() / n.max(1);
-    for i in 0..n {
-        let key = (i % u64::from(KEYS)) as u16;
-        dep.inject(
-            t0 + SimDuration::nanos(i * step),
-            (i % 3) as usize,
-            0,
-            udp_write(key, 100 + (i % 400) as u16),
-        );
-    }
-}
-
-/// E22's leader-crash scenario with the journal attached: returns
-/// `(measured_gap_ns, journal_gap_ns)` — crash-to-election as the
-/// controller's election log saw it vs as the journal reconstructs it.
-pub fn crash_gaps(seed: u64) -> Option<(u64, u64)> {
-    let cfg = SwishConfig {
-        ctrl_replicas: 3,
-        adaptive_detector: true,
-        ..Default::default()
-    };
-    let mut dep = DeploymentBuilder::new(3)
-        .hosts(1)
-        .seed(seed)
-        .swish_config(cfg)
-        .register(RegisterSpec::partitioned(0, "p", KEYS))
-        .build(|_| Box::new(WriteNf));
-    let journal = dep.attach_journal(1 << 16);
-    dep.settle();
-    dep.run_for(SimDuration::millis(30)); // detector warm-up
-    let t_crash = dep.now();
-    dep.schedule_ctrl_fail(t_crash, 0);
-    inject_writes(&mut dep, t_crash, 24, SimDuration::millis(20));
-    dep.run_for(SimDuration::millis(60));
-    let measured = dep
-        .controller()
-        .elections()
-        .iter()
-        .find(|e| e.time >= t_crash)
-        .map(|e| e.time.since(t_crash).0)?;
-    let decoded = Journal::decode(journal.borrow().entries());
-    let reconstructed = decoded
-        .failovers()
-        .iter()
-        .find(|f| f.elected_at >= t_crash)
-        .map(|f| f.elected_at.since(t_crash).0)?;
-    Some((measured, reconstructed))
-}
-
 /// Run E23.
 pub fn run(quick: bool) -> ExperimentResult {
     let events: u64 = if quick { 20_000 } else { 100_000 };
@@ -225,7 +159,8 @@ pub fn run(quick: bool) -> ExperimentResult {
     let mut worst_diff: u64 = 0;
     let mut reconstructed = 0usize;
     for &seed in &seeds {
-        match crash_gaps(seed) {
+        let run = crash_run(seed);
+        match run.measured_gap_ns.zip(run.journal_gap_ns()) {
             Some((m, j)) => {
                 let diff = m.abs_diff(j);
                 worst_diff = worst_diff.max(diff);

@@ -1,18 +1,19 @@
 //! Span analysis: reconstruct per-operation latency breakdowns from the
 //! simulator's causal span markers, aggregate per-phase percentiles, and
-//! export Chrome/Perfetto `trace_event` JSON.
+//! export spans plus the control-plane journal as one Chrome/Perfetto
+//! `trace_event` timeline.
 //!
 //! Span markers are *points*, not intervals; a phase's duration is the
 //! gap from the previous marker, attributed to the **later** marker's
 //! kind ("the time it took to reach this phase"). Consecutive gaps
 //! telescope, so a completed operation's per-phase durations sum exactly
-//! to its end-to-end latency — the property `trace_explain` uses to
+//! to its end-to-end latency — the property the `explain` bin uses to
 //! reconcile breakdowns against the `write_latency` histogram with zero
 //! slack.
 
 use crate::json::Json;
-use std::collections::BTreeMap;
-use swishmem::{CtrlEvent, Histogram, Journal};
+use std::collections::{BTreeMap, BTreeSet};
+use swishmem::{CtrlEvent, Histogram, Journal, MigrationTimeline};
 use swishmem_simnet::{SpanEvent, SpanPhase};
 use swishmem_wire::TraceId;
 
@@ -94,7 +95,7 @@ pub fn phase_histograms(breakdowns: &[TraceBreakdown]) -> Vec<(String, Histogram
     out
 }
 
-// Chrome/Perfetto `trace_event` builders shared by both exporters.
+// Chrome/Perfetto `trace_event` builders.
 
 /// Chrome trace_event timestamps are microseconds; keep sub-µs precision
 /// by emitting fractional values.
@@ -174,15 +175,56 @@ fn document(out: Vec<Json>) -> Json {
     ])
 }
 
-/// Render span events as a Chrome/Perfetto `trace_event` JSON document
-/// (loadable in ui.perfetto.dev or chrome://tracing).
+/// Render span events and the decoded control-plane journal as one
+/// Chrome/Perfetto `trace_event` JSON document (loadable in
+/// ui.perfetto.dev or chrome://tracing).
 ///
-/// Layout: one Perfetto *thread* per trace (named after its TraceId),
-/// grouped under one *process* per originating switch. Each phase slice
-/// is a complete (`"X"`) event whose `ts`/`dur` are the gap from the
+/// Every process belonging to a node has pid = node id + 1, so switch
+/// and replica processes never collide; pid 0 is the synthetic
+/// "control plane" process.
+///
+/// Write spans: one *thread* per trace (named after its TraceId), under
+/// the process of its originating switch. Each phase slice is a
+/// complete (`"X"`) event whose `ts`/`dur` are the gap from the
 /// previous marker, so the rendered track mirrors the telescoping
 /// breakdown; the opening marker is an instant (`"i"`) event.
-pub fn to_perfetto(events: &[SpanEvent]) -> Json {
+///
+/// Control plane: the "control plane" process carries the fabric-global
+/// timelines — leadership reigns (one complete slice per epoch, from the
+/// election decree to the next), migration lifecycles (begin→terminal,
+/// with the dual-owner window as a nested slice) and compaction /
+/// snapshot instants. Every replica that journaled an event gets its own
+/// process with a detector thread (suspicion slices from `Suspect` to
+/// the clearing `Unsuspect`; open suspicions run to the end of the
+/// journal) and a leadership thread (campaign / election / lease
+/// instants).
+pub fn to_perfetto(events: &[SpanEvent], journal: &Journal) -> Json {
+    let mut out: Vec<Json> = Vec::new();
+    span_tracks(&mut out, events);
+    ctrl_tracks(&mut out, journal);
+    document(out)
+}
+
+/// How a migration ended: `committed`, `aborted: <reason>` or `open`.
+pub fn migration_outcome(m: &MigrationTimeline) -> String {
+    if m.commit_at.is_some() {
+        "committed".to_string()
+    } else if let Some(r) = m.abort_reason {
+        format!(
+            "aborted: {}",
+            swishmem::telemetry::journal::abort_reason_str(r)
+        )
+    } else {
+        "open".to_string()
+    }
+}
+
+/// The Perfetto pid of node `n`'s process.
+fn node_pid(n: u16) -> u64 {
+    u64::from(n) + 1
+}
+
+fn span_tracks(out: &mut Vec<Json>, events: &[SpanEvent]) {
     let node = |e: &SpanEvent| Json::obj(vec![("node", Json::str(format!("{}", e.node)))]);
 
     let mut by_trace: BTreeMap<u64, Vec<SpanEvent>> = BTreeMap::new();
@@ -190,20 +232,19 @@ pub fn to_perfetto(events: &[SpanEvent]) -> Json {
         by_trace.entry(e.trace.0).or_default().push(*e);
     }
 
-    let mut out: Vec<Json> = Vec::new();
     let mut named_pids: Vec<u64> = Vec::new();
     for (tid_seq, (id, tl)) in by_trace.iter_mut().enumerate() {
         tl.sort_by_key(|e| e.time);
-        let pid = tl[0].trace.0 >> 48; // origin node + 1
+        let pid = tl[0].trace.0 >> 48; // TraceId packs origin node + 1
         let tid = tid_seq as u64 + 1;
         if !named_pids.contains(&pid) {
             named_pids.push(pid);
-            proc_meta(&mut out, pid, format!("switch n{}", pid.saturating_sub(1)));
+            proc_meta(out, pid, format!("switch n{}", pid.saturating_sub(1)));
         }
-        thread_meta(&mut out, pid, tid, format!("{}", TraceId(*id)));
+        thread_meta(out, pid, tid, format!("{}", TraceId(*id)));
         let first = &tl[0];
         instant(
-            &mut out,
+            out,
             "span",
             (pid, tid),
             first.time.nanos(),
@@ -212,7 +253,7 @@ pub fn to_perfetto(events: &[SpanEvent]) -> Json {
         );
         for w in tl.windows(2) {
             slice(
-                &mut out,
+                out,
                 "span",
                 (pid, tid),
                 w[0].time.nanos(),
@@ -222,37 +263,22 @@ pub fn to_perfetto(events: &[SpanEvent]) -> Json {
             );
         }
     }
-    document(out)
 }
 
-/// Render a decoded control-plane journal as Chrome/Perfetto
-/// `trace_event` JSON, alongside-loadable with [`to_perfetto`]'s
-/// write-phase tracks.
-///
-/// Layout: a synthetic "control plane" process carries the fabric-global
-/// timelines — leadership reigns (one complete slice per epoch, from the
-/// election decree to the next), migration lifecycles (begin→terminal,
-/// with the dual-owner window as a nested slice) and compaction /
-/// snapshot instants. Every replica that journaled an event additionally
-/// gets its own process with a detector thread (suspicion slices from
-/// `Suspect` to the clearing `Unsuspect`, open suspicions run to the end
-/// of the journal) and a leadership thread (campaign / election / lease
-/// instants).
-pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
+fn ctrl_tracks(out: &mut Vec<Json>, journal: &Journal) {
     let entries = journal.entries();
     let end_ns = entries.last().map(|e| e.time.nanos()).unwrap_or(0);
     let detail = |d: String| Json::obj(vec![("detail", Json::str(d))]);
 
-    const CTRL_PID: u64 = 1;
+    const CTRL_PID: u64 = 0;
     const TID_LEADERSHIP: u64 = 1;
     const TID_MIGRATIONS: u64 = 2;
     const TID_COMPACTION: u64 = 3;
 
-    let mut out: Vec<Json> = Vec::new();
-    proc_meta(&mut out, CTRL_PID, "control plane");
-    thread_meta(&mut out, CTRL_PID, TID_LEADERSHIP, "leadership");
-    thread_meta(&mut out, CTRL_PID, TID_MIGRATIONS, "migrations");
-    thread_meta(&mut out, CTRL_PID, TID_COMPACTION, "compaction");
+    proc_meta(out, CTRL_PID, "control plane");
+    thread_meta(out, CTRL_PID, TID_LEADERSHIP, "leadership");
+    thread_meta(out, CTRL_PID, TID_MIGRATIONS, "migrations");
+    thread_meta(out, CTRL_PID, TID_COMPACTION, "compaction");
 
     // Leadership reigns: each epoch's earliest election decree opens a
     // slice that runs until the next epoch's decree (or journal end).
@@ -265,7 +291,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
             .unwrap_or(end_ns)
             .max(start);
         slice(
-            &mut out,
+            out,
             "ctrl",
             (CTRL_PID, TID_LEADERSHIP),
             start,
@@ -284,18 +310,9 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
             .map(|t| t.nanos())
             .unwrap_or(end_ns)
             .max(begin);
-        let outcome = if m.commit_at.is_some() {
-            "committed".to_string()
-        } else if let Some(r) = m.abort_reason {
-            format!(
-                "aborted: {}",
-                swishmem::telemetry::journal::abort_reason_str(r)
-            )
-        } else {
-            "open".to_string()
-        };
+        let outcome = migration_outcome(&m);
         slice(
-            &mut out,
+            out,
             "ctrl",
             (CTRL_PID, TID_MIGRATIONS),
             begin,
@@ -306,7 +323,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
         if let Some(d) = m.dual_owner_at {
             let d_ns = d.nanos();
             slice(
-                &mut out,
+                out,
                 "ctrl",
                 (CTRL_PID, TID_MIGRATIONS),
                 d_ns,
@@ -320,7 +337,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
     // Compaction boundaries and snapshot traffic.
     for c in journal.compactions() {
         instant(
-            &mut out,
+            out,
             "ctrl",
             (CTRL_PID, TID_COMPACTION),
             c.at.nanos(),
@@ -331,7 +348,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
     for e in entries {
         match e.event {
             CtrlEvent::SnapshotSent { base, bytes, to } => instant(
-                &mut out,
+                out,
                 "ctrl",
                 (CTRL_PID, TID_COMPACTION),
                 e.time.nanos(),
@@ -339,7 +356,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
                 detail(format!("{bytes} B")),
             ),
             CtrlEvent::SnapshotInstalled { base } => instant(
-                &mut out,
+                out,
                 "ctrl",
                 (CTRL_PID, TID_COMPACTION),
                 e.time.nanos(),
@@ -351,23 +368,20 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
     }
 
     // Per-replica tracks: detector suspicion slices + leadership/lease
-    // instants. pid = 2 + dense replica index, in first-seen order.
+    // instants.
     const TID_DETECTOR: u64 = 1;
     const TID_REPLICA_LEAD: u64 = 2;
-    let mut pids: BTreeMap<u16, u64> = BTreeMap::new();
-    for e in entries {
-        let next = 2 + pids.len() as u64;
-        pids.entry(e.node.0).or_insert(next);
-    }
-    for (&node, &pid) in &pids {
-        proc_meta(&mut out, pid, format!("replica n{node}"));
-        thread_meta(&mut out, pid, TID_DETECTOR, "detector");
-        thread_meta(&mut out, pid, TID_REPLICA_LEAD, "leadership");
+    let replicas: BTreeSet<u16> = entries.iter().map(|e| e.node.0).collect();
+    for &node in &replicas {
+        let pid = node_pid(node);
+        proc_meta(out, pid, format!("replica n{node}"));
+        thread_meta(out, pid, TID_DETECTOR, "detector");
+        thread_meta(out, pid, TID_REPLICA_LEAD, "leadership");
     }
     // Open suspicions per (observer, target).
     let mut open: BTreeMap<(u16, u16), (u64, u64, u64)> = BTreeMap::new();
     for e in entries {
-        let pid = pids[&e.node.0];
+        let pid = node_pid(e.node.0);
         let t = e.time.nanos();
         match e.event {
             CtrlEvent::Suspect {
@@ -380,7 +394,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
             CtrlEvent::Unsuspect { target } => {
                 if let Some((t0, silence, budget)) = open.remove(&(e.node.0, target.0)) {
                     slice(
-                        &mut out,
+                        out,
                         "ctrl",
                         (pid, TID_DETECTOR),
                         t0,
@@ -391,7 +405,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
                 }
             }
             CtrlEvent::ElectionStart { ballot, timeout_ns } => instant(
-                &mut out,
+                out,
                 "ctrl",
                 (pid, TID_REPLICA_LEAD),
                 t,
@@ -403,7 +417,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
                 epoch,
                 slot,
             } => instant(
-                &mut out,
+                out,
                 "ctrl",
                 (pid, TID_REPLICA_LEAD),
                 t,
@@ -411,7 +425,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
                 detail(format!("decree slot {slot}")),
             ),
             CtrlEvent::StepDown { slot, ballot } => instant(
-                &mut out,
+                out,
                 "ctrl",
                 (pid, TID_REPLICA_LEAD),
                 t,
@@ -419,7 +433,7 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
                 detail(format!("slot {slot}, ballot {ballot}")),
             ),
             CtrlEvent::LeaseLost { heard, quorum } => instant(
-                &mut out,
+                out,
                 "ctrl",
                 (pid, TID_REPLICA_LEAD),
                 t,
@@ -432,17 +446,15 @@ pub fn ctrl_to_perfetto(journal: &Journal) -> Json {
     // Suspicions never cleared run to the end of the journal.
     for ((node, target), (t0, silence, budget)) in open {
         slice(
-            &mut out,
+            out,
             "ctrl",
-            (pids[&node], TID_DETECTOR),
+            (node_pid(node), TID_DETECTOR),
             t0,
             end_ns.max(t0) - t0,
             format!("suspect n{target} (uncleared)"),
             detail(format!("{silence} ns silent vs {budget} ns budget")),
         );
     }
-
-    document(out)
 }
 
 #[cfg(test)]
@@ -517,7 +529,7 @@ mod tests {
     #[test]
     fn perfetto_document_shape() {
         let t = TraceId::new(NodeId(0), 1);
-        let doc = to_perfetto(&write_timeline(t)).pretty();
+        let doc = to_perfetto(&write_timeline(t), &Journal::default()).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("\"ph\": \"X\""));
         assert!(doc.contains("\"ph\": \"M\""));
@@ -618,7 +630,7 @@ mod tests {
             ),
         ];
         let journal = Journal::decode(&records);
-        let doc = ctrl_to_perfetto(&journal).pretty();
+        let doc = to_perfetto(&write_timeline(TraceId::new(NodeId(0), 1)), &journal).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("control plane"));
         assert!(doc.contains("leader n65534 (epoch 2)"));
@@ -626,6 +638,9 @@ mod tests {
         assert!(doc.contains("dual-owner"));
         assert!(doc.contains("compact@12"));
         assert!(doc.contains("replica n65534"));
+        // pid = node id + 1 for switches and replicas alike.
+        assert!(doc.contains("\"pid\": 65535"));
+        assert!(doc.contains("switch n0"));
         assert!(doc.contains("suspect n65535"));
         assert!(doc.contains("election start (ballot 257)"));
         // The suspicion slice spans 1_000..1_250 ns = 0.25 µs.
@@ -633,8 +648,8 @@ mod tests {
     }
 
     #[test]
-    fn ctrl_perfetto_empty_journal_is_well_formed() {
-        let doc = ctrl_to_perfetto(&Journal::default()).pretty();
+    fn perfetto_empty_run_is_well_formed() {
+        let doc = to_perfetto(&[], &Journal::default()).pretty();
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("control plane"));
     }

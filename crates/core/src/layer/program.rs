@@ -38,7 +38,8 @@ pub struct SwishProgram {
     /// Per-switch causal-trace counter: each logical operation entering
     /// the NF at this switch gets `TraceId::new(me, counter)`. Pure
     /// bookkeeping — advancing it draws no randomness and schedules no
-    /// events, so tracing never perturbs the simulation.
+    /// events, so tracing never perturbs the simulation. It survives
+    /// `reset`, so a restarted switch never re-issues a pre-crash id.
     next_trace: u64,
 }
 
@@ -905,7 +906,6 @@ impl DataPlaneProgram for SwishProgram {
         self.sync_cursor = (0, 0);
         self.sweep_cursor = (0, 0);
         self.mirror_buf.clear();
-        self.next_trace = 0;
         self.clock.reset();
         self.app.reset();
     }

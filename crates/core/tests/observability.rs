@@ -6,7 +6,7 @@ use std::net::Ipv4Addr;
 use swishmem::prelude::*;
 use swishmem::telemetry::TimeSeriesSampler;
 use swishmem::RegisterSpec;
-use swishmem_simnet::SpanPhase;
+use swishmem_simnet::{FaultSchedule, SpanPhase};
 use swishmem_wire::l4::TcpFlags;
 
 /// NF: UDP writes payload_len into SRO reg 0 at key = dst_port; TCP reads
@@ -210,6 +210,42 @@ fn sro_span_phases_sum_to_write_latency() {
     let m = dep.metrics(1);
     assert_eq!(m.cp.write_latency.count(), 1);
     assert_eq!(m.cp.write_latency.max_ns(), end_to_end);
+}
+
+/// `TraceId`s are unique across the deployment, restarts included: a
+/// switch that crashes and comes back must not re-issue the ids of its
+/// pre-crash operations, or two writes merge into one breakdown.
+#[test]
+fn trace_ids_stay_unique_across_a_switch_restart() {
+    let mut dep = sro_dep(5);
+    let spans = dep.attach_tracing(100_000);
+    dep.settle();
+    let t = dep.now();
+    let sw0 = dep.switch_ids()[0];
+    let sched =
+        FaultSchedule::new().crash_for(sw0, SimDuration::millis(10), SimDuration::millis(1));
+    dep.schedule_faults(t, &sched);
+    // Writes at switch 0 before the crash, then a longer run after the
+    // restart so the restarted counter sweeps past the pre-crash ids.
+    let pre = 0..8u64;
+    let post = 12..60u64;
+    for i in pre.clone().chain(post.clone()) {
+        dep.inject(t + SimDuration::millis(i), 0, 0, udp(i as u16, 100));
+    }
+    dep.run_for(SimDuration::millis(100));
+
+    let c = spans.borrow();
+    let ingresses: Vec<_> = c
+        .entries()
+        .iter()
+        .filter(|e| e.phase == SpanPhase::Ingress)
+        .map(|e| e.trace)
+        .collect();
+    assert_eq!(ingresses.len(), pre.chain(post).count());
+    for &trace in &ingresses {
+        let n = ingresses.iter().filter(|&&t| t == trace).count();
+        assert_eq!(n, 1, "{trace} carries {n} ingress markers");
+    }
 }
 
 /// A read arriving while the write is pending carries its trace through

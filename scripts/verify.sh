@@ -55,6 +55,11 @@ cargo test -q --test consensus_hardening gray_links_cause_no_spurious_elections
 # attached), and compiled-in-but-disabled tracing must stay cheap.
 echo "==> cargo test --test determinism (span attach invisible to fingerprint)"
 cargo test -q -p swishmem-simnet --test determinism
+# The explain tool end to end: on seeds with and without switch crashes,
+# every write_latency sample reconciles with a span breakdown and the
+# journal's failover gap matches the election log within 1 µs.
+echo "==> cargo test --release --test explain (span reconciliation + journal fidelity)"
+cargo test -q --release -p swishmem-bench --test explain
 
 # Flight-recorder gates (DESIGN.md §14), by name: attaching the journal
 # must be bit-invisible to both golden fingerprints (sequential and
