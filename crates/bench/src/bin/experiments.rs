@@ -45,7 +45,7 @@ fn main() {
         }
         eprintln!(
             "companion bins (cargo run -p swishmem-bench --release --bin <name>): \
-             explain, perf_baseline, capture, replay"
+             explain, capture, replay"
         );
         return;
     }

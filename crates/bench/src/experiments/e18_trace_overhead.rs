@@ -1,6 +1,6 @@
 //! E18 — tracing overhead: the span-telemetry fast path must be free
 //! when no collector is attached. Two identical ping-pong simulations
-//! (`perf_baseline`'s `ping_pong` workload) are timed wall-clock: both
+//! (an engine-only `ping_pong` workload) are timed wall-clock: both
 //! allocate a `TraceId` per packet (unconditional protocol work — the id
 //! rides the wire either way), but only one emits a span marker per
 //! packet into the **detached** collector slot, the layer's common-case

@@ -1,7 +1,7 @@
 //! Shared sharded leaf-spine scenario for the parallel-engine
-//! experiments: the E20 scaling fabric, the `perf_baseline --shards`
-//! scenarios, and the verify-gate smoke all drive the same builder so
-//! their numbers are comparable.
+//! experiments: the E20 scaling fabric, the E24 replay lab and the
+//! verify-gate smoke all drive the same builder so their numbers are
+//! comparable.
 //!
 //! The workload is an NF-flavored sketch: every leaf maintains a 4-row
 //! count-min array over Zipf-distributed flow keys and reports to a

@@ -4,6 +4,46 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Perf-gate liveness: scripts/bench_judge.awk (the judge of
+# scripts/bench_ab.sh) over made-up run sets in perfbench's result-line
+# shape. Identical sets must pass; a 2x worse cpu_ns_per_pkt, an
+# incorrect run and a failed check must each fail; a parent spread wider
+# than the bounds must read `unresolved`, and a 2x better cpu_ns_per_pkt
+# `better`.
+echo "==> bench_judge.awk sabotage (identical pass; 2x cpu, incorrect, failed fail)"
+metrics=$(awk -v spec=1 -f scripts/bench_judge.awk BENCHMARK.json | awk -F'\t' '$1 == "metric" { print $2 }')
+# Ten runs of one side: <side> <correct> <failed per run> <cpu_ns_per_pkt
+# factor> <spread>; run i reads 1000 + i*spread on every metric.
+runs() {
+    local i m v line
+    for i in 1 2 3 4 5 6 7 8 9 10; do
+        line=""
+        for m in $metrics; do
+            v=$((1000 + i * $5))
+            [ "$m" != cpu_ns_per_pkt ] || v=$((v * $4))
+            line="$line${line:+, }\"$m\": {\"value\": $v, \"unit\": \"x\"}"
+        done
+        printf 'sro_conntable\t%s\t%s\t{"correct": %s, "attempted": 100, "failed": %s, "metrics": {%s}}\n' \
+            "$1" $((7300 + i)) "$2" "$3" "$line"
+    done
+}
+expect_judge() { # <exit status> <pattern> <parent runs args> <change runs args>
+    local out status=0
+    # shellcheck disable=SC2086 # the runs arguments are word lists
+    out=$(awk -f scripts/bench_judge.awk BENCHMARK.json <(runs parent $3; runs change $4)) || status=$?
+    if [ "$status" != "$1" ] || ! grep -q -- "$2" <<<"$out"; then
+        echo "$out"
+        echo "bench_judge: expected exit $1 and a line matching /$2/" >&2
+        exit 1
+    fi
+}
+expect_judge 0 "PASS (0 unresolved)" "true 0 1 1" "true 0 1 1"
+expect_judge 1 "cpu_ns_per_pkt .* FAIL$" "true 0 1 1" "true 0 2 1"
+expect_judge 1 "correct .* FAIL (incorrect run)$" "true 0 1 1" "false 0 1 1"
+expect_judge 1 "failed  *0  *10  *FAIL$" "true 0 1 1" "true 1 1 1"
+expect_judge 0 "cpu_ns_per_pkt .* unresolved$" "true 0 1 400" "true 0 1 400"
+expect_judge 0 "cpu_ns_per_pkt .* 10/10  better$" "true 0 2 1" "true 0 1 1"
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
